@@ -1,0 +1,150 @@
+// SimTM footprint cost: what does one transactional access cost as the
+// transaction grows?
+//
+// One transaction of N loads then N stores, each on its own cache line (the
+// same shape as perfbench's htm.tx_ns.fp<N> probe), timed at N in
+// {1, 8, 16, 64, 256} on the calling thread. The reported figure is ns per
+// access: transaction time / 2N. TL2's global clock makes each read's check
+// O(1), so a flat per-access cost across N is what the protocol allows; a
+// per-access cost that climbs with N is bookkeeping overhead (set lookups,
+// commit-time scans) growing with the footprint.
+//
+// Methodology: reps are interleaved across footprints (rep loop outside,
+// footprint loop inside) so every footprint is timed under the same host
+// conditions, and each footprint reports the MINIMUM over its reps — the
+// de-noised estimate on a shared host (see bench_overhead.cc). Every rep
+// performs the same number of accesses at every footprint.
+//
+// Flags:
+//   --gate   quick run of N = 8 and 256 only; exits 1 unless the per-access
+//            cost at 256 is at most kMaxFootprintRatio times the cost at 8
+//            (`ctest -L perf-smoke`, Release only).
+//
+// Emits BENCH_footprint.json (see bench_util.h), one record per footprint.
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <csetjmp>
+#include <cstdio>
+#include <cstring>
+#include <memory>
+#include <vector>
+
+#include "bench/bench_util.h"
+#include "src/htm/config.h"
+#include "src/htm/tx.h"
+
+namespace {
+
+constexpr double kMaxFootprintRatio = 2.0;
+
+struct alignas(64) Line {
+  std::atomic<uint64_t> word{0};
+};
+
+// Kept out of line so the setjmp checkpoint GOCC_TX_BEGIN plants has no
+// caller loop state to clobber.
+__attribute__((noinline)) void FootprintTx(Line* lines, int footprint) {
+  std::jmp_buf env;
+  gocc::htm::BeginStatus status = GOCC_TX_BEGIN(env);
+  if (status.started) {
+    uint64_t sum = 0;
+    for (int k = 0; k < footprint; ++k) {
+      sum += gocc::htm::TxLoad(&lines[k].word);
+    }
+    for (int k = 0; k < footprint; ++k) {
+      gocc::htm::TxStore(&lines[k].word, sum + static_cast<uint64_t>(k));
+    }
+    gocc::htm::TxCommit();
+  }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace gocc::bench;
+
+  bool gate = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--gate") == 0) {
+      gate = true;
+    }
+  }
+
+  const std::vector<int> footprints =
+      gate ? std::vector<int>{8, 256} : std::vector<int>{1, 8, 16, 64, 256};
+  const int reps = gate ? 9 : 7;
+  const uint64_t accesses_per_rep = gate ? (1u << 18) : (1u << 20);
+
+  gocc::htm::ForceSimBackend();
+  gocc::htm::MutableConfig() = gocc::htm::TxConfig{};
+
+  JsonReport report("footprint");
+  report.Config("backend", "sim");
+  report.Config("reps_min_of", static_cast<double>(reps));
+  report.Config("accesses_per_rep", static_cast<double>(accesses_per_rep));
+  std::printf("== SimTM per-access cost vs transaction footprint ==\n");
+
+  std::vector<std::unique_ptr<Line[]>> lines;
+  for (int fp : footprints) {
+    lines.emplace_back(new Line[static_cast<size_t>(fp)]);
+    FootprintTx(lines.back().get(), fp);  // warm the per-thread context
+  }
+  std::vector<double> best_ns(footprints.size(), 0.0);
+  for (int rep = 0; rep < reps; ++rep) {
+    for (size_t f = 0; f < footprints.size(); ++f) {
+      const int fp = footprints[f];
+      const uint64_t iterations =
+          std::max<uint64_t>(1, accesses_per_rep / (2 * static_cast<uint64_t>(fp)));
+      const auto t0 = std::chrono::steady_clock::now();
+      for (uint64_t i = 0; i < iterations; ++i) {
+        FootprintTx(lines[f].get(), fp);
+      }
+      const auto t1 = std::chrono::steady_clock::now();
+      const double ns =
+          std::chrono::duration<double, std::nano>(t1 - t0).count() /
+          static_cast<double>(iterations);
+      if (rep == 0 || ns < best_ns[f]) {
+        best_ns[f] = ns;
+      }
+    }
+  }
+
+  std::printf("  %10s %14s %16s\n", "footprint", "ns/tx", "ns/access");
+  for (size_t f = 0; f < footprints.size(); ++f) {
+    const int fp = footprints[f];
+    const double per_access = best_ns[f] / (2.0 * fp);
+    std::printf("  %10d %14.1f %16.2f\n", fp, best_ns[f], per_access);
+    JsonRecord rec;
+    rec.benchmark = "footprint/" + std::to_string(fp);
+    rec.mode = "sim";
+    rec.section = "measured";
+    rec.threads = 1;
+    rec.ns_per_op = best_ns[f];
+    rec.ops_per_sec = best_ns[f] > 0 ? 1e9 / best_ns[f] : 0.0;
+    rec.counters.push_back({"ns_per_access", per_access});
+    report.Add(std::move(rec));
+  }
+
+  auto per_access_at = [&](int fp) {
+    for (size_t f = 0; f < footprints.size(); ++f) {
+      if (footprints[f] == fp) {
+        return best_ns[f] / (2.0 * fp);
+      }
+    }
+    return 0.0;
+  };
+  const double ratio = per_access_at(256) / per_access_at(8);
+  report.Config("per_access_ratio_256_vs_8", ratio);
+  std::printf("\n  per-access cost, footprint 256 vs 8: %.2fx (gate %.1fx)\n",
+              ratio, kMaxFootprintRatio);
+  if (gate && !(ratio <= kMaxFootprintRatio)) {
+    std::fprintf(stderr,
+                 "perf-smoke FAILED: SimTM per-access cost at footprint 256 "
+                 "is %.2fx the cost at footprint 8 (limit %.1fx)\n",
+                 ratio, kMaxFootprintRatio);
+    return 1;
+  }
+  return 0;
+}

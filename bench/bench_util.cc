@@ -1,5 +1,6 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -310,15 +311,21 @@ void RunMeasured(const std::string& figure,
   }
   std::printf("\n[measured] %s — real optiLib runtime (%s backend)\n",
               figure.c_str(), backend);
-  if (hw < 8) {
+  const int max_threads =
+      thread_counts.empty()
+          ? 0
+          : *std::max_element(thread_counts.begin(), thread_counts.end());
+  if (max_threads > static_cast<int>(hw)) {
     std::printf(
-        "  NOTE: host has %u hardware thread(s); threads time-share, so "
-        "wall-clock\n  scaling is not meaningful here — see the [simulated] "
-        "section for scaling\n  shapes. This section validates the runtime "
-        "end to end. On the software\n  backends (SimTM, sw-OCC) the GOCC "
-        "column additionally pays per-access\n  instrumentation (~10ns) "
-        "that real RTM does not.\n",
+        "  NOTE: host has %u hardware thread(s); cases above that "
+        "time-share, so their\n  wall-clock scaling is not meaningful — see "
+        "the [simulated] section for\n  scaling shapes.\n",
         hw);
+  }
+  if (htm::ActiveBackend() != htm::Backend::kRtm) {
+    std::printf(
+        "  NOTE: on the software backends (SimTM, sw-OCC) the GOCC column "
+        "pays\n  per-access instrumentation that real RTM does not.\n");
   }
   std::printf("  %-24s %8s %12s %12s %10s\n", "benchmark", "threads",
               "lock ns/op", "GOCC ns/op", "speedup");

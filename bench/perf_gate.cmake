@@ -1,25 +1,30 @@
 # Wall-clock perf gate wrapper (ctest -L perf-smoke).
 #
-# Runs `bench_overhead --quick --check <baseline>` up to 3 times and passes
-# if ANY attempt passes. The bench itself already de-noises within a process
-# (min-of-reps, paired lock/elided windows, best-of-attempts re-allocation;
-# see bench_overhead.cc); what it cannot dodge is a multi-second host-level
-# burst — a noisy co-tenant or cgroup throttling window on a small shared
-# CI box inflates every rep of every attempt by 10-20 ns, swamping the
+# Runs a gate binary — by default `bench_overhead --quick --check
+# <baseline>` — up to 3 times and passes if ANY attempt passes. The benches
+# already de-noise within a process (min-of-reps, paired lock/elided
+# windows, best-of-attempts re-allocation; see bench_overhead.cc); what they
+# cannot dodge is a multi-second host-level burst — a noisy co-tenant or
+# cgroup throttling window on a small shared CI box inflates every rep of every attempt by 10-20 ns, swamping the
 # few-ns bound being asserted. Those bursts pass; a real fast-path cost
 # leak does not. Retrying whole processes a few seconds apart distinguishes
 # the two without loosening the asserted bound.
 #
-# Expects -DGATE_BINARY=<path> -DGATE_BASELINE=<path>.
+# Expects -DGATE_BINARY=<path> and either -DGATE_BASELINE=<path> (the
+# bench_overhead form above) or -DGATE_ARGS=<;-separated arguments>.
 
-if(NOT GATE_BINARY OR NOT GATE_BASELINE)
-  message(FATAL_ERROR "perf_gate.cmake needs -DGATE_BINARY and -DGATE_BASELINE")
+if(NOT GATE_BINARY OR (NOT GATE_BASELINE AND NOT GATE_ARGS))
+  message(FATAL_ERROR
+          "perf_gate.cmake needs -DGATE_BINARY and -DGATE_BASELINE or -DGATE_ARGS")
+endif()
+if(NOT GATE_ARGS)
+  set(GATE_ARGS --quick --check "${GATE_BASELINE}")
 endif()
 
 set(max_attempts 3)
 set(passed FALSE)
 foreach(attempt RANGE 1 ${max_attempts})
-  execute_process(COMMAND "${GATE_BINARY}" --quick --check "${GATE_BASELINE}"
+  execute_process(COMMAND "${GATE_BINARY}" ${GATE_ARGS}
                   RESULT_VARIABLE rc)
   if(rc EQUAL 0)
     set(passed TRUE)

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <unordered_map>
 #include <vector>
 
 #include "src/htm/config.h"
 #include "src/htm/fault.h"
+#include "src/htm/flat_index.h"
 #include "src/htm/stats.h"
 #include "src/htm/swocc.h"
 #include "src/support/misuse.h"
@@ -100,8 +100,7 @@ struct SwOccContext {
 
   std::vector<Subscription> subs;
   std::vector<OccWrite> writes;
-  std::unordered_map<const std::atomic<uint64_t>*, size_t> write_index;
-  bool writes_spilled = false;
+  FlatIndex write_index;  // addr -> index in `writes`
   std::vector<CommitLockedWord> locked;
 
   SplitMix64 rng{0};
@@ -110,15 +109,10 @@ struct SwOccContext {
   void ResetSets() {
     subs.clear();
     writes.clear();
-    if (writes_spilled) {
-      write_index.clear();
-      writes_spilled = false;
-    }
+    write_index.clear();
     locked.clear();
   }
 };
-
-constexpr size_t kWriteSpill = 16;
 
 thread_local SwOccContext* tls_occ_ptr = nullptr;
 
@@ -140,29 +134,14 @@ inline void BumpSlot(int slot) {
 }
 
 OccWrite* FindWrite(SwOccContext& tx, const std::atomic<uint64_t>* addr) {
-  if (!tx.writes_spilled) {
-    for (OccWrite& w : tx.writes) {
-      if (w.addr == addr) {
-        return &w;
-      }
-    }
-    return nullptr;
-  }
-  auto it = tx.write_index.find(addr);
-  return it == tx.write_index.end() ? nullptr : &tx.writes[it->second];
+  const uint32_t* i = tx.write_index.Find(addr);
+  return i == nullptr ? nullptr : &tx.writes[*i];
 }
 
 void AppendWrite(SwOccContext& tx, std::atomic<uint64_t>* addr,
                  uint64_t value) {
+  tx.write_index.Insert(addr, static_cast<uint32_t>(tx.writes.size()));
   tx.writes.push_back({addr, value});
-  if (tx.writes_spilled) {
-    tx.write_index.emplace(addr, tx.writes.size() - 1);
-  } else if (tx.writes.size() > kWriteSpill) {
-    for (size_t i = 0; i < tx.writes.size(); ++i) {
-      tx.write_index.emplace(tx.writes[i].addr, i);
-    }
-    tx.writes_spilled = true;
-  }
 }
 
 // Rollback half of an abort: words locked by an in-progress commit go back

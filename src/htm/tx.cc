@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/htm/fault.h"
+#include "src/htm/flat_index.h"
 #include "src/htm/rtm_backend.h"
 #include "src/htm/stats.h"
 #include "src/htm/stripe_table.h"
@@ -27,6 +26,9 @@ inline uintptr_t CacheLineOf(const void* addr) {
 struct ReadEntry {
   std::atomic<uint64_t>* stripe;
   uint64_t version;  // stripe version observed at first read
+  // Set by a writing commit that locked this stripe and already checked
+  // its pre-lock version against `version`; read validation skips it.
+  bool held = false;
 };
 
 struct WriteEntry {
@@ -39,67 +41,28 @@ struct LockedStripe {
   uint64_t pre_lock_version;
 };
 
-// Dedup set tuned for SimTM's common case: a transformed critical section
-// touches a handful of addresses, so membership is a linear scan over a
-// reused flat vector — no hashing, no node allocation, and clear() is a
-// size reset. Transactions that outgrow kSpill migrate into the hash set
-// once and keep O(1) membership from then on (read/write capacity limits
-// are in the hundreds of lines, where the scan would be quadratic).
-template <typename T>
-class SmallSet {
- public:
-  static constexpr size_t kSpill = 16;
-
-  // Returns true when `v` was newly inserted.
-  bool insert(T v) {
-    if (!spilled_) {
-      for (const T& x : vec_) {
-        if (x == v) {
-          return false;
-        }
-      }
-      vec_.push_back(v);
-      if (vec_.size() > kSpill) {
-        spill_.insert(vec_.begin(), vec_.end());
-        spilled_ = true;
-      }
-      return true;
-    }
-    return spill_.insert(v).second;
-  }
-
-  size_t size() const { return spilled_ ? spill_.size() : vec_.size(); }
-
-  void clear() {
-    vec_.clear();
-    if (spilled_) {
-      spill_.clear();
-      spilled_ = false;
-    }
-  }
-
- private:
-  std::vector<T> vec_;
-  std::unordered_set<T> spill_;
-  bool spilled_ = false;
-};
+// Cache-line payload bits in TxContext::lines.
+constexpr uint32_t kLineRead = 1;
+constexpr uint32_t kLineWritten = 2;
 
 // Per-thread SimTM transaction context. Containers keep their capacity
-// across transactions, so steady-state operation allocates nothing.
+// across transactions and the indexes clear by epoch, so steady-state
+// operation allocates nothing and resetting costs the same at every
+// footprint.
 struct TxContext {
   int depth = 0;
   uint64_t rv = 0;
   std::jmp_buf* env = nullptr;
 
   std::vector<ReadEntry> reads;
-  SmallSet<const std::atomic<uint64_t>*> read_stripes_seen;
+  FlatIndex read_index;   // stripe -> index in `reads`
   std::vector<WriteEntry> writes;
-  // Populated only once the write set spills past SmallSet::kSpill entries;
-  // below that, write lookups linear-scan `writes` directly.
-  std::unordered_map<const std::atomic<uint64_t>*, size_t> write_index;
-  bool writes_spilled = false;
-  SmallSet<uintptr_t> read_lines;
-  SmallSet<uintptr_t> write_lines;
+  FlatIndex write_index;  // addr -> index in `writes`
+  // Cache line -> kLineRead | kLineWritten; the counters are the distinct
+  // lines read / written, checked against the capacity limits.
+  FlatIndex lines;
+  size_t read_lines = 0;
+  size_t write_lines = 0;
 
   // Stripes locked during an in-progress commit; released on abort.
   std::vector<LockedStripe> locked;
@@ -112,31 +75,20 @@ struct TxContext {
 
   void ResetSets() {
     reads.clear();
-    read_stripes_seen.clear();
+    read_index.clear();
     writes.clear();
-    if (writes_spilled) {
-      write_index.clear();
-      writes_spilled = false;
-    }
-    read_lines.clear();
-    write_lines.clear();
+    write_index.clear();
+    lines.clear();
+    read_lines = 0;
+    write_lines = 0;
     locked.clear();
   }
 };
 
-// The write-set entry for `addr`, or nullptr. Linear scan below the spill
-// threshold, hash lookup above it.
+// The write-set entry for `addr`, or nullptr.
 WriteEntry* FindWrite(TxContext& tx, const std::atomic<uint64_t>* addr) {
-  if (!tx.writes_spilled) {
-    for (WriteEntry& w : tx.writes) {
-      if (w.addr == addr) {
-        return &w;
-      }
-    }
-    return nullptr;
-  }
-  auto it = tx.write_index.find(addr);
-  return it == tx.write_index.end() ? nullptr : &tx.writes[it->second];
+  const uint32_t* i = tx.write_index.Find(addr);
+  return i == nullptr ? nullptr : &tx.writes[*i];
 }
 
 // TxContext has vector members, so a plain `thread_local TxContext` would
@@ -211,6 +163,41 @@ void MaybeSpuriousAbort(TxContext& tx) {
   }
 }
 
+// Records the first read of `stripe` at `version` (later reads of the same
+// stripe are already covered by that entry).
+void RecordRead(TxContext& tx, std::atomic<uint64_t>* stripe,
+                uint64_t version) {
+  if (tx.read_index.Insert(stripe, static_cast<uint32_t>(tx.reads.size()))
+          .second) {
+    tx.reads.push_back({stripe, version});
+  }
+}
+
+// Marks `addr`'s cache line as read and/or written (`touch`) and enforces
+// the capacity limits on each first touch, read before write.
+void TouchLine(TxContext& tx, const void* addr, uint32_t touch) {
+  uint32_t& bits = *tx.lines.Insert(CacheLineOf(addr), 0).first;
+  const uint32_t fresh = touch & ~bits;
+  if (fresh == 0) {
+    return;
+  }
+  bits |= fresh;
+  const TxConfig& cfg = Config();
+  if ((fresh & kLineRead) != 0 && ++tx.read_lines > cfg.read_capacity_lines) {
+    AbortInternal(tx, AbortCode::kCapacity);
+  }
+  if ((fresh & kLineWritten) != 0 &&
+      ++tx.write_lines > cfg.write_capacity_lines) {
+    AbortInternal(tx, AbortCode::kCapacity);
+  }
+}
+
+// Appends a write-set entry for an address not yet in the write set.
+void AppendWrite(TxContext& tx, std::atomic<uint64_t>* addr, uint64_t value) {
+  tx.write_index.Insert(addr, static_cast<uint32_t>(tx.writes.size()));
+  tx.writes.push_back({addr, value});
+}
+
 // Locks `stripe` for commit; returns false after bounded spinning.
 bool LockStripeForCommit(TxContext& tx, std::atomic<uint64_t>* stripe) {
   for (int spin = 0; spin < kStripeLockSpins; ++spin) {
@@ -244,45 +231,10 @@ void CommitOutermost(TxContext& tx) {
     return;
   }
 
-  // Single-write transaction — the common transformed critical section —
-  // takes a fully inlined path: one stripe lock, validation that compares
-  // against that stripe directly (no find_if over `locked`), one publish.
-  if (tx.writes.size() == 1) {
-    const WriteEntry& w = tx.writes[0];
-    std::atomic<uint64_t>* stripe = StripeFor(w.addr);
-    if (!LockStripeForCommit(tx, stripe)) {
-      AbortInternal(tx, AbortCode::kConflict);
-    }
-    const uint64_t pre_lock_version = tx.locked[0].pre_lock_version;
-    const uint64_t wv =
-        GlobalClock().fetch_add(1, std::memory_order_acq_rel) + 1;
-    for (const ReadEntry& r : tx.reads) {
-      if (r.stripe == stripe) {
-        // The one stripe we hold: validate against its pre-lock version.
-        if (pre_lock_version != r.version) {
-          AbortInternal(tx, AbortCode::kConflict);
-        }
-        continue;
-      }
-      uint64_t word = r.stripe->load(std::memory_order_acquire);
-      if (StripeIsLocked(word) || StripeVersion(word) != r.version) {
-        AbortInternal(tx, AbortCode::kConflict);
-      }
-    }
-    w.addr->store(w.value, std::memory_order_relaxed);
-    stripe->store(wv << 1, std::memory_order_release);
-    BumpSlot(TxStats::kCommits);
-    tx.depth = 0;
-    tx.env = nullptr;
-    tx.ResetSets();
-    return;
-  }
-
   // Lock the stripes covering the write set in address order (prevents
   // deadlock between committers).
   std::vector<std::atomic<uint64_t>*>& stripes = tx.commit_stripes;
   stripes.clear();
-  stripes.reserve(tx.writes.size());
   for (const WriteEntry& w : tx.writes) {
     stripes.push_back(StripeFor(w.addr));
   }
@@ -292,26 +244,31 @@ void CommitOutermost(TxContext& tx) {
     if (!LockStripeForCommit(tx, stripe)) {
       AbortInternal(tx, AbortCode::kConflict);
     }
-    // A write stripe whose version advanced past rv and that we also read
-    // is caught by read-set validation below; a write-only stripe may have
-    // any version (TL2: last-writer-wins is fine, we hold the lock).
+    // A write stripe we also read is validated here, against the version it
+    // carried when we locked it; read validation below then skips it. A
+    // write-only stripe may have any version (TL2: last-writer-wins is
+    // fine, we hold the lock).
+    if (const uint32_t* i = tx.read_index.Find(stripe)) {
+      ReadEntry& r = tx.reads[*i];
+      if (tx.locked.back().pre_lock_version != r.version) {
+        AbortInternal(tx, AbortCode::kConflict);
+      }
+      r.held = true;
+    }
   }
 
   const uint64_t wv =
       GlobalClock().fetch_add(1, std::memory_order_acq_rel) + 1;
 
-  // Validate the read set: every stripe we read must still carry the version
-  // we first observed, and must not be locked by another committer.
+  // Validate the rest of the read set: every stripe we read must still
+  // carry the version we first observed, and must not be locked by another
+  // committer.
   for (const ReadEntry& r : tx.reads) {
+    if (r.held) {
+      continue;
+    }
     uint64_t word = r.stripe->load(std::memory_order_acquire);
-    if (StripeIsLocked(word)) {
-      auto it = std::find_if(
-          tx.locked.begin(), tx.locked.end(),
-          [&](const LockedStripe& ls) { return ls.stripe == r.stripe; });
-      if (it == tx.locked.end() || it->pre_lock_version != r.version) {
-        AbortInternal(tx, AbortCode::kConflict);
-      }
-    } else if (StripeVersion(word) != r.version) {
+    if (StripeIsLocked(word) || StripeVersion(word) != r.version) {
       AbortInternal(tx, AbortCode::kConflict);
     }
   }
@@ -351,13 +308,8 @@ uint64_t TxLoadAtStripe(TxContext& tx, const std::atomic<uint64_t>* addr,
     AbortInternal(tx, AbortCode::kConflict);
   }
 
-  if (tx.read_stripes_seen.insert(stripe)) {
-    tx.reads.push_back({stripe, StripeVersion(w1)});
-  }
-  if (tx.read_lines.insert(CacheLineOf(addr)) &&
-      tx.read_lines.size() > Config().read_capacity_lines) {
-    AbortInternal(tx, AbortCode::kCapacity);
-  }
+  RecordRead(tx, stripe, StripeVersion(w1));
+  TouchLine(tx, addr, kLineRead);
   MaybeInjectedAbort(tx, fault::Site::kLoad);
   MaybeSpuriousAbort(tx);
   return value;
@@ -393,9 +345,11 @@ uint64_t SimSubscribe(TxContext& tx, const std::atomic<uint64_t>* addr,
   if (w1 != w2) [[unlikely]] {
     AbortInternal(tx, AbortCode::kConflict);
   }
-  tx.read_stripes_seen.insert(stripe);
+  // Empty sets: the entries are new and one line cannot exceed capacity.
+  tx.read_index.Insert(stripe, 0);
   tx.reads.push_back({stripe, StripeVersion(w1)});
-  tx.read_lines.insert(CacheLineOf(addr));
+  tx.lines.Insert(CacheLineOf(addr), kLineRead);
+  tx.read_lines = 1;
   MaybeInjectedAbort(tx, fault::Site::kLoad);
   MaybeSpuriousAbort(tx);
   return value;
@@ -628,22 +582,11 @@ void TxStore(std::atomic<uint64_t>* addr, uint64_t value) {
     return;
   }
 
-  if (tx.write_lines.insert(CacheLineOf(addr)) &&
-      tx.write_lines.size() > Config().write_capacity_lines) {
-    AbortInternal(tx, AbortCode::kCapacity);
-  }
+  TouchLine(tx, addr, kLineWritten);
   if (WriteEntry* w = FindWrite(tx, addr)) {
     w->value = value;
   } else {
-    tx.writes.push_back({addr, value});
-    if (tx.writes_spilled) {
-      tx.write_index.emplace(addr, tx.writes.size() - 1);
-    } else if (tx.writes.size() > SmallSet<uintptr_t>::kSpill) {
-      for (size_t i = 0; i < tx.writes.size(); ++i) {
-        tx.write_index.emplace(tx.writes[i].addr, i);
-      }
-      tx.writes_spilled = true;
-    }
+    AppendWrite(tx, addr, value);
   }
   MaybeInjectedAbort(tx, fault::Site::kStore);
   MaybeSpuriousAbort(tx);
@@ -729,28 +672,10 @@ uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
   if (w1 != w2) {
     AbortInternal(tx, AbortCode::kConflict);
   }
-  if (tx.read_stripes_seen.insert(stripe)) {
-    tx.reads.push_back({stripe, StripeVersion(w1)});
-  }
-  const uintptr_t line = CacheLineOf(addr);
-  if (tx.read_lines.insert(line) &&
-      tx.read_lines.size() > Config().read_capacity_lines) {
-    AbortInternal(tx, AbortCode::kCapacity);
-  }
-  if (tx.write_lines.insert(line) &&
-      tx.write_lines.size() > Config().write_capacity_lines) {
-    AbortInternal(tx, AbortCode::kCapacity);
-  }
+  RecordRead(tx, stripe, StripeVersion(w1));
+  TouchLine(tx, addr, kLineRead | kLineWritten);
   value += delta;
-  tx.writes.push_back({addr, value});
-  if (tx.writes_spilled) {
-    tx.write_index.emplace(addr, tx.writes.size() - 1);
-  } else if (tx.writes.size() > SmallSet<uintptr_t>::kSpill) {
-    for (size_t i = 0; i < tx.writes.size(); ++i) {
-      tx.write_index.emplace(tx.writes[i].addr, i);
-    }
-    tx.writes_spilled = true;
-  }
+  AppendWrite(tx, addr, value);
   MaybeInjectedAbort(tx, fault::Site::kLoad);
   MaybeInjectedAbort(tx, fault::Site::kStore);
   MaybeSpuriousAbort(tx);

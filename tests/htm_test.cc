@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <csetjmp>
+#include <memory>
+#include <vector>
 
 #include "src/htm/config.h"
 #include "src/htm/shared.h"
@@ -230,6 +232,75 @@ TEST_F(HtmTest, NonTxWriteInvalidatesWritingReaderAtCommit) {
   EXPECT_EQ(pass, 2) << "commit after a conflicting non-tx write must abort";
 }
 
+// Writing commits validate a stripe they both read and write at lock time,
+// against the version it carried when locked: a strongly-atomic bump of
+// that stripe between the read and the commit must abort the commit.
+TEST_F(HtmTest, MultiWriteCommitCatchesBumpOfReadAndWrittenStripe) {
+  Shared<int64_t> a(0);
+  Shared<int64_t> b(0);
+  std::jmp_buf env;
+  volatile int pass = 0;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  if (status.started) {
+    const int64_t seen = a.Load();
+    if (pass == 0) {
+      pass = 1;
+      StripeGuardedUpdate(a.cell(), [&] {});
+    }
+    a.Store(seen + 1);  // `a`'s stripe is now read and written
+    b.Store(seen + 1);  // two writes: the multi-write commit
+    TxCommit();
+    ADD_FAILURE() << "commit over a bumped read-and-written stripe";
+  } else {
+    EXPECT_EQ(status.abort_code, AbortCode::kConflict);
+    pass = 2;
+  }
+  EXPECT_EQ(pass, 2);
+  EXPECT_EQ(a.Load(), 0);
+  EXPECT_EQ(b.Load(), 0);
+  EXPECT_EQ(GlobalTxStats().aborts_conflict.load(), 1u);
+}
+
+TEST_F(HtmTest, MultiWriteCommitOfReadAndWrittenStripeCommits) {
+  Shared<int64_t> a(5);
+  Shared<int64_t> b(0);
+  int aborts = RunTx([&] {
+    const int64_t seen = a.Load();
+    a.Store(seen + 1);
+    b.Store(seen + 1);
+  });
+  EXPECT_EQ(aborts, 0);
+  EXPECT_EQ(a.Load(), 6);
+  EXPECT_EQ(b.Load(), 6);
+}
+
+// Read-your-own-write across a 64-entry write set: every load of a written
+// cell returns the buffered value, also after overwrites, and the commit
+// publishes the last value of each.
+TEST_F(HtmTest, ReadYourOwnWriteInSixtyFourWriteTx) {
+  constexpr int kWrites = 64;
+  std::vector<std::unique_ptr<Shared<int64_t>>> cells;
+  for (int i = 0; i < kWrites; ++i) {
+    cells.push_back(std::make_unique<Shared<int64_t>>(-1));
+  }
+  int aborts = RunTx([&] {
+    for (int i = 0; i < kWrites; ++i) {
+      cells[static_cast<size_t>(i)]->Store(i);
+    }
+    for (int i = 0; i < kWrites; ++i) {
+      EXPECT_EQ(cells[static_cast<size_t>(i)]->Load(), i);
+      cells[static_cast<size_t>(i)]->Store(i * 10);
+    }
+    for (int i = 0; i < kWrites; ++i) {
+      EXPECT_EQ(cells[static_cast<size_t>(i)]->Add(1), i * 10 + 1);
+    }
+  });
+  EXPECT_EQ(aborts, 0);
+  for (int i = 0; i < kWrites; ++i) {
+    EXPECT_EQ(cells[static_cast<size_t>(i)]->Load(), i * 10 + 1);
+  }
+}
+
 // A read-only transaction is serializable at its begin point (every read is
 // validated against the fixed read version), so a later remote write does
 // NOT abort it — the transaction simply serializes before the writer. This
@@ -356,7 +427,48 @@ TEST_P(CapacityBoundary, WriteSetBoundaryIsExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CapacityBoundary,
-                         ::testing::Values(1, 2, 8, 32, 128));
+                         ::testing::Values(1, 2, 8, 32, 128, 17, 64, 448));
+
+// Read-set dual of CapacityBoundary: exactly `cap` distinct read lines
+// commit, `cap + 1` abort with kCapacity.
+class ReadCapacityBoundary : public HtmTest,
+                             public ::testing::WithParamInterface<int> {};
+
+TEST_P(ReadCapacityBoundary, ReadSetBoundaryIsExact) {
+  const int cap = GetParam();
+  MutableConfig().read_capacity_lines = static_cast<size_t>(cap);
+  struct alignas(64) Line {
+    Shared<int64_t> cell;
+  };
+  std::vector<std::unique_ptr<Line>> lines;
+  for (int i = 0; i < cap + 1; ++i) {
+    lines.push_back(std::make_unique<Line>());
+  }
+
+  std::jmp_buf env;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  if (status.started) {
+    for (int i = 0; i < cap; ++i) {
+      (void)lines[static_cast<size_t>(i)]->cell.Load();
+    }
+    TxCommit();
+  }
+  EXPECT_TRUE(status.started);
+
+  std::jmp_buf env2;
+  BeginStatus status2 = GOCC_TX_BEGIN(env2);
+  if (status2.started) {
+    for (int i = 0; i < cap + 1; ++i) {
+      (void)lines[static_cast<size_t>(i)]->cell.Load();
+    }
+    TxCommit();
+    FAIL() << "expected capacity abort";
+  }
+  EXPECT_EQ(status2.abort_code, AbortCode::kCapacity);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, ReadCapacityBoundary,
+                         ::testing::Values(17, 64, 1024));
 
 }  // namespace
 }  // namespace gocc::htm

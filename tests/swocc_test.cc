@@ -15,6 +15,7 @@
 #include <csetjmp>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -371,6 +372,39 @@ TEST_F(SwOccTest, DelayedPublishStallIsBoundedAndCounted) {
   EXPECT_GE(fstats.stall_pauses.load(), 4u * (64u / 2));
 }
 
+// --- write-set index ---
+
+TEST_F(SwOccTest, ReadYourOwnWriteInSixtyFourWriteTx) {
+  // A 64-entry write set (well past the first growth of the write index):
+  // every load and fetch-add of a written cell sees the buffered value, and
+  // the commit publishes the last value of each.
+  constexpr int kWrites = 64;
+  std::vector<std::unique_ptr<htm::Shared<int64_t>>> cells;
+  for (int i = 0; i < kWrites; ++i) {
+    cells.push_back(std::make_unique<htm::Shared<int64_t>>(-1));
+  }
+  std::jmp_buf env;
+  htm::BeginStatus status = GOCC_TX_BEGIN(env);
+  ASSERT_TRUE(status.started) << htm::AbortCodeName(status.abort_code);
+  for (int i = 0; i < kWrites; ++i) {
+    cells[static_cast<size_t>(i)]->Store(i);
+  }
+  for (int i = 0; i < kWrites; ++i) {
+    EXPECT_EQ(cells[static_cast<size_t>(i)]->Load(), i);
+    cells[static_cast<size_t>(i)]->Store(i * 10);
+  }
+  for (int i = 0; i < kWrites; ++i) {
+    EXPECT_EQ(cells[static_cast<size_t>(i)]->Add(1), i * 10 + 1);
+  }
+  // Buffered: nothing is visible before the commit.
+  EXPECT_EQ(cells[0]->LoadRelaxed(), -1);
+  htm::TxCommit();
+  EXPECT_FALSE(htm::InTx());
+  for (int i = 0; i < kWrites; ++i) {
+    EXPECT_EQ(cells[static_cast<size_t>(i)]->Load(), i * 10 + 1);
+  }
+}
+
 // --- the invisible-read property: torn reads never survive validation ---
 
 TEST_F(SwOccTest, InvisibleReadsNeverObserveInFlightWriter) {
@@ -386,8 +420,17 @@ TEST_F(SwOccTest, InvisibleReadsNeverObserveInFlightWriter) {
   std::atomic<uint64_t> torn{0};
   std::atomic<uint64_t> consistent{0};
 
+  // Start latch: the writer begins only once every reader has finished one
+  // episode, so a loaded host cannot let it run all its iterations before
+  // any reader completes one (which would leave `consistent` at zero).
+  constexpr int kReaders = 2;
+  std::atomic<int> readers_started{0};
+
   constexpr int kWriterIters = 3000;
   std::thread writer([&] {
+    while (readers_started.load(std::memory_order_acquire) < kReaders) {
+      std::this_thread::yield();
+    }
     for (int i = 1; i <= kWriterIters; ++i) {
       rw.Lock();
       a.Store(i);
@@ -401,9 +444,10 @@ TEST_F(SwOccTest, InvisibleReadsNeverObserveInFlightWriter) {
   });
 
   std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
       OptiLock ol;
+      bool counted_in = false;
       while (!done.load(std::memory_order_acquire)) {
         int64_t seen_a = 0;
         int64_t seen_b = 0;
@@ -415,6 +459,10 @@ TEST_F(SwOccTest, InvisibleReadsNeverObserveInFlightWriter) {
           torn.fetch_add(1, std::memory_order_relaxed);
         } else {
           consistent.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (!counted_in) {
+          counted_in = true;
+          readers_started.fetch_add(1, std::memory_order_release);
         }
       }
     });
