@@ -4,9 +4,11 @@
 // transactions: the write set is limited by L1D (32 KiB / 64 B = 512 lines on
 // the paper's Coffee Lake; we default slightly lower, as measured capacities
 // are), while the read set can spill to L2/L3 tracking structures and is much
-// larger. `spurious_abort_probability` models TSX's best-effort nature
-// (transactions may abort with no architectural cause); it is zero by default
-// and enabled by fault-injection tests.
+// larger. SimTM counts both limits in distinct cache lines; sw-OCC has no
+// line model, applies the write limit to distinct written cells and has no
+// read limit. `spurious_abort_probability` models TSX's best-effort nature
+// (transactions may abort with no architectural cause) on both software
+// backends; it is zero by default and enabled by fault-injection tests.
 
 #ifndef GOCC_SRC_HTM_CONFIG_H_
 #define GOCC_SRC_HTM_CONFIG_H_
@@ -24,8 +26,9 @@ enum class Backend {
   // Real Intel RTM via xbegin/xend (requires hardware support; selected only
   // after a successful runtime probe).
   kRtm,
-  // Software OCC on the mutexes' versioned lock words (swocc_backend.h):
-  // invisible reads, thread-local write buffering, commit-time validation.
+  // Software OCC on the mutexes' versioned lock words (swocc.h; runs in
+  // tx.cc's software frame next to SimTM): invisible reads, thread-local
+  // write buffering, commit-time validation.
   // Runs anywhere; selected via GOCC_BACKEND=swocc, per-episode by
   // OptiLock's backend chooser, or as the demotion target when RTM dies
   // mid-run.

@@ -7,9 +7,11 @@
 //
 // Non-transactional code that mutates memory watched by transactions (most
 // importantly the gosync::Mutex state word a fast-path transaction
-// "subscribes" to) must call NotifyNonTxWrite so in-flight readers of that
-// stripe abort — this provides the strong-atomicity edge real RTM gets for
-// free from cache coherence.
+// "subscribes" to) must do so through StripeGuardedUpdate /
+// StripeGuardedUpdateAt (tx.h), or a depth-0 TxStore / TxFetchAdd, so
+// in-flight readers of that stripe abort — this provides the
+// strong-atomicity edge real RTM gets for free from cache coherence. A
+// tracked mutex keeps its own inline stripe instead of a table entry.
 
 #ifndef GOCC_SRC_HTM_STRIPE_TABLE_H_
 #define GOCC_SRC_HTM_STRIPE_TABLE_H_
@@ -60,11 +62,6 @@ inline bool StripeIsLocked(uint64_t stripe_word) {
   return (stripe_word & kStripeLockedBit) != 0;
 }
 inline uint64_t StripeVersion(uint64_t stripe_word) { return stripe_word >> 1; }
-
-// Marks a non-transactional write to `addr`: bumps the stripe version (under
-// the stripe lock) so concurrent transactions that read the stripe fail
-// validation. Spins while a committing transaction holds the stripe.
-void NotifyNonTxWrite(const void* addr);
 
 }  // namespace gocc::htm
 

@@ -2,15 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <vector>
 
+#include "src/gosync/runtime.h"
 #include "src/htm/fault.h"
 #include "src/htm/flat_index.h"
 #include "src/htm/rtm_backend.h"
 #include "src/htm/stats.h"
 #include "src/htm/stripe_table.h"
-#include "src/htm/swocc_backend.h"
+#include "src/htm/swocc.h"
+#include "src/support/misuse.h"
 #include "src/support/rng.h"
 #include "src/support/strings.h"
 
@@ -23,6 +24,7 @@ inline uintptr_t CacheLineOf(const void* addr) {
   return reinterpret_cast<uintptr_t>(addr) >> 6;
 }
 
+// SimTM read-set entry.
 struct ReadEntry {
   std::atomic<uint64_t>* stripe;
   uint64_t version;  // stripe version observed at first read
@@ -31,57 +33,72 @@ struct ReadEntry {
   bool held = false;
 };
 
+// sw-OCC subscription: an occ word and the value it had when subscribed.
+struct Subscription {
+  const std::atomic<uint64_t>* word;
+  uint64_t value;
+};
+
 struct WriteEntry {
   std::atomic<uint64_t>* addr;
   uint64_t value;
 };
 
-struct LockedStripe {
-  std::atomic<uint64_t>* stripe;
-  uint64_t pre_lock_version;
+// A SimTM stripe or sw-OCC occ word held by an in-progress commit, with
+// the value it carried before the commit locked it.
+struct LockedWord {
+  std::atomic<uint64_t>* word;
+  uint64_t pre_lock;
 };
 
 // Cache-line payload bits in TxContext::lines.
 constexpr uint32_t kLineRead = 1;
 constexpr uint32_t kLineWritten = 2;
 
-// Per-thread SimTM transaction context. Containers keep their capacity
-// across transactions and the indexes clear by epoch, so steady-state
-// operation allocates nothing and resetting costs the same at every
-// footprint.
+// Per-thread software transaction context, shared by SimTM and sw-OCC. An
+// episode runs on one backend (recorded at begin) and every exit clears
+// every set, so the next episode finds the context clean whichever backend
+// it runs on. Containers keep their capacity across transactions and the
+// indexes clear by epoch, so steady-state operation allocates nothing and
+// resetting costs the same at every footprint.
 struct TxContext {
   int depth = 0;
-  uint64_t rv = 0;
+  Backend backend = Backend::kSim;
   std::jmp_buf* env = nullptr;
 
-  std::vector<ReadEntry> reads;
-  FlatIndex read_index;   // stripe -> index in `reads`
   std::vector<WriteEntry> writes;
   FlatIndex write_index;  // addr -> index in `writes`
+  std::vector<LockedWord> locked;
+
+  // SimTM only.
+  uint64_t rv = 0;
+  std::vector<ReadEntry> reads;
+  FlatIndex read_index;  // stripe -> index in `reads`
   // Cache line -> kLineRead | kLineWritten; the counters are the distinct
   // lines read / written, checked against the capacity limits.
   FlatIndex lines;
   size_t read_lines = 0;
   size_t write_lines = 0;
-
-  // Stripes locked during an in-progress commit; released on abort.
-  std::vector<LockedStripe> locked;
-  // Scratch for CommitOutermost's sorted stripe list (reused capacity —
-  // a per-commit local vector would malloc/free every episode).
+  // Scratch for SimCommit's sorted stripe list (reused capacity — a
+  // per-commit local vector would malloc/free every episode).
   std::vector<std::atomic<uint64_t>*> commit_stripes;
+
+  // sw-OCC only.
+  std::vector<Subscription> subs;
 
   SplitMix64 rng{0};
   bool rng_seeded = false;
 
   void ResetSets() {
-    reads.clear();
-    read_index.clear();
     writes.clear();
     write_index.clear();
+    locked.clear();
+    reads.clear();
+    read_index.clear();
     lines.clear();
     read_lines = 0;
     write_lines = 0;
-    locked.clear();
+    subs.clear();
   }
 };
 
@@ -89,6 +106,12 @@ struct TxContext {
 WriteEntry* FindWrite(TxContext& tx, const std::atomic<uint64_t>* addr) {
   const uint32_t* i = tx.write_index.Find(addr);
   return i == nullptr ? nullptr : &tx.writes[*i];
+}
+
+// Appends a write-set entry for an address not yet in the write set.
+void AppendWrite(TxContext& tx, std::atomic<uint64_t>* addr, uint64_t value) {
+  tx.write_index.Insert(addr, static_cast<uint32_t>(tx.writes.size()));
+  tx.writes.push_back({addr, value});
 }
 
 // TxContext has vector members, so a plain `thread_local TxContext` would
@@ -116,15 +139,72 @@ inline void BumpSlot(std::atomic<uint64_t>* shard, int slot) {
   shard[slot].store(shard[slot].load(std::memory_order_relaxed) + 1,
                     std::memory_order_relaxed);
 }
-inline void BumpSlot(int slot) { BumpSlot(g_stats.LocalShard(), slot); }
 
-// Rollback half of an abort: releases stripes held by an in-progress
-// commit, records the abort, and clears all transaction state. Shared by
-// AbortInternal (which then long-jumps) and TxCancel (which returns so a
+// Locks `stripe` for a non-transactional update, spinning while a
+// committer holds it.
+void LockStripe(std::atomic<uint64_t>* stripe) {
+  uint64_t word = stripe->load(std::memory_order_relaxed);
+  while (true) {
+    if (StripeIsLocked(word)) {
+      word = stripe->load(std::memory_order_relaxed);
+      continue;
+    }
+    if (stripe->compare_exchange_weak(word, word | kStripeLockedBit,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_relaxed)) {
+      return;
+    }
+  }
+}
+
+// Unlocks a stripe taken by LockStripe with a fresh global-clock version.
+// Versions must come from the global clock (not stripe-local increments) so
+// that any version installed after a transaction sampled its read version
+// is strictly greater — that is what makes per-read validation abort
+// zombies eagerly.
+void ReleaseStripeBumped(std::atomic<uint64_t>* stripe) {
+  const uint64_t version =
+      GlobalClock().fetch_add(1, std::memory_order_acq_rel) + 1;
+  stripe->store(version << 1, std::memory_order_release);
+}
+
+// Non-transactional SimTM read with strong atomicity: a committer publishes
+// its write set while holding the stripes, so waiting for an unlocked
+// stripe guarantees the caller reads the final committed value, never an
+// in-flight one. (Real RTM commits atomically at xend, making this window
+// impossible in hardware.)
+void WaitStripeUnlocked(const std::atomic<uint64_t>* stripe) {
+  while (StripeIsLocked(stripe->load(std::memory_order_acquire))) {
+    gosync::CpuPause();
+  }
+}
+
+// Releases an occ word a sw-OCC commit holds exclusive (installed value
+// `held`) to `next`, preserving a writer-pending flag raised while we held
+// it (only that bit can change under us: the exclusive flag serializes
+// every other writer of the word; the starving writer acquires next and
+// clears it, so losing it here could let another committer cut the line).
+void ReleaseOccWord(std::atomic<uint64_t>* word, uint64_t held,
+                    uint64_t next) {
+  uint64_t cur = held;
+  while (!word->compare_exchange_weak(cur, next | (cur & kOccWriterPendingBit),
+                                      std::memory_order_release,
+                                      std::memory_order_relaxed)) {
+  }
+}
+
+// Rollback half of an abort: releases what an in-progress commit locked
+// (no write was published yet — publication only starts after every word
+// is locked), records the abort, and clears all transaction state. Shared
+// by AbortInternal (which then long-jumps) and TxCancel (which returns so a
 // C++ exception can keep unwinding).
 void RollbackInternal(TxContext& tx, AbortCode code) {
-  for (const LockedStripe& ls : tx.locked) {
-    ls.stripe->store(ls.pre_lock_version << 1, std::memory_order_release);
+  for (const LockedWord& lw : tx.locked) {
+    if (tx.backend == Backend::kSwOcc) {
+      ReleaseOccWord(lw.word, OccAcquired(lw.pre_lock), lw.pre_lock);
+    } else {
+      lw.word->store(lw.pre_lock, std::memory_order_release);
+    }
   }
   g_stats.RecordAbort(code);
   tx.depth = 0;
@@ -135,7 +215,7 @@ void RollbackInternal(TxContext& tx, AbortCode code) {
 [[noreturn]] void AbortInternal(TxContext& tx, AbortCode code) {
   std::jmp_buf* env = tx.env;
   RollbackInternal(tx, code);
-  assert(env != nullptr && "SimTM abort without a checkpoint");
+  assert(env != nullptr && "software abort without a checkpoint");
   std::longjmp(*env, static_cast<int>(code));
 }
 
@@ -163,14 +243,26 @@ void MaybeSpuriousAbort(TxContext& tx) {
   }
 }
 
-// Records the first read of `stripe` at `version` (later reads of the same
-// stripe are already covered by that entry).
-void RecordRead(TxContext& tx, std::atomic<uint64_t>* stripe,
-                uint64_t version) {
-  if (tx.read_index.Insert(stripe, static_cast<uint32_t>(tx.reads.size()))
-          .second) {
-    tx.reads.push_back({stripe, version});
+// ---- SimTM: TL2 validation against the striped version table.
+
+// The w1/value/fence/w2 protocol: the stripe must be unlocked and no newer
+// than the read version both before and after the data load. Returns the
+// value and stores the observed stripe version in `version`.
+inline uint64_t SimValidatedRead(TxContext& tx,
+                                 const std::atomic<uint64_t>* addr,
+                                 const std::atomic<uint64_t>* stripe,
+                                 uint64_t& version) {
+  const uint64_t w1 = stripe->load(std::memory_order_acquire);
+  if (StripeIsLocked(w1) || StripeVersion(w1) > tx.rv) [[unlikely]] {
+    AbortInternal(tx, AbortCode::kConflict);
   }
+  const uint64_t value = addr->load(std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (stripe->load(std::memory_order_relaxed) != w1) [[unlikely]] {
+    AbortInternal(tx, AbortCode::kConflict);
+  }
+  version = StripeVersion(w1);
+  return value;
 }
 
 // Marks `addr`'s cache line as read and/or written (`touch`) and enforces
@@ -192,10 +284,19 @@ void TouchLine(TxContext& tx, const void* addr, uint32_t touch) {
   }
 }
 
-// Appends a write-set entry for an address not yet in the write set.
-void AppendWrite(TxContext& tx, std::atomic<uint64_t>* addr, uint64_t value) {
-  tx.write_index.Insert(addr, static_cast<uint32_t>(tx.writes.size()));
-  tx.writes.push_back({addr, value});
+// Validated read of a value not in the write set, recorded in the read set
+// (the first read of a stripe covers every later one) and charged to the
+// line capacity as `touch`.
+uint64_t SimRead(TxContext& tx, const std::atomic<uint64_t>* addr,
+                 std::atomic<uint64_t>* stripe, uint32_t touch) {
+  uint64_t version;
+  const uint64_t value = SimValidatedRead(tx, addr, stripe, version);
+  if (tx.read_index.Insert(stripe, static_cast<uint32_t>(tx.reads.size()))
+          .second) {
+    tx.reads.push_back({stripe, version});
+  }
+  TouchLine(tx, addr, touch);
+  return value;
 }
 
 // Locks `stripe` for commit; returns false after bounded spinning.
@@ -206,28 +307,20 @@ bool LockStripeForCommit(TxContext& tx, std::atomic<uint64_t>* stripe) {
       if (stripe->compare_exchange_weak(word, word | kStripeLockedBit,
                                         std::memory_order_acq_rel,
                                         std::memory_order_relaxed)) {
-        tx.locked.push_back({stripe, StripeVersion(word)});
+        tx.locked.push_back({stripe, word});
         return true;
       }
     }
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
+    gosync::CpuPause();
   }
   return false;
 }
 
-void CommitOutermost(TxContext& tx) {
+// Publishes a SimTM write set. A read-only transaction has nothing to do:
+// per-read validation against the fixed read version already guarantees a
+// consistent snapshot at rv.
+void SimCommit(TxContext& tx) {
   if (tx.writes.empty()) {
-    // Read-only transaction: per-read validation against the fixed read
-    // version already guarantees a consistent snapshot at rv; nothing to
-    // publish.
-    std::atomic<uint64_t>* shard = g_stats.LocalShard();
-    BumpSlot(shard, TxStats::kCommits);
-    BumpSlot(shard, TxStats::kReadOnlyCommits);
-    tx.depth = 0;
-    tx.env = nullptr;
-    tx.ResetSets();
     return;
   }
 
@@ -250,7 +343,7 @@ void CommitOutermost(TxContext& tx) {
     // fine, we hold the lock).
     if (const uint32_t* i = tx.read_index.Find(stripe)) {
       ReadEntry& r = tx.reads[*i];
-      if (tx.locked.back().pre_lock_version != r.version) {
+      if (StripeVersion(tx.locked.back().pre_lock) != r.version) {
         AbortInternal(tx, AbortCode::kConflict);
       }
       r.held = true;
@@ -277,77 +370,183 @@ void CommitOutermost(TxContext& tx) {
   for (const WriteEntry& w : tx.writes) {
     w.addr->store(w.value, std::memory_order_relaxed);
   }
-  for (const LockedStripe& ls : tx.locked) {
-    ls.stripe->store(wv << 1, std::memory_order_release);
+  for (const LockedWord& ls : tx.locked) {
+    ls.word->store(wv << 1, std::memory_order_release);
   }
-
-  BumpSlot(TxStats::kCommits);
-  tx.depth = 0;
-  tx.env = nullptr;
-  tx.ResetSets();
 }
 
-// In-transaction validated read against a caller-supplied stripe: the
-// shared body of TxLoad (global stripe table) and TxSubscribeAt (inline
-// per-mutex stripe). Write-set lookup first, then the w1/value/fence/w2
-// stripe protocol, then dedup + capacity accounting.
-uint64_t TxLoadAtStripe(TxContext& tx, const std::atomic<uint64_t>* addr,
-                        std::atomic<uint64_t>* stripe) {
+// ---- sw-OCC: invisible reads validated against subscribed occ words.
+//
+// Transactional reads make no shared store, writes are buffered, and
+// correctness comes entirely from validating the subscribed occ words
+// (swocc.h) — at every transactional read (opacity: a torn read aborts
+// before the critical section can act on it) and again at commit. Raw
+// transactions with no subscription get no isolation under this backend
+// (there is no word to validate); OptiLock episodes always subscribe.
+
+// Reader-side poison check: a subscribed word that turned into the
+// destructor's poison pattern means the episode outlived its mutex. Report
+// once per detection, then abort — under the recover policy the episode's
+// retry loop re-subscribes, sees poison as "held", and degrades to the slow
+// path, the same terminal state SimTM's stripe poisoning produces.
+[[noreturn]] void ReportPoisonedRead(TxContext& tx,
+                                     const std::atomic<uint64_t>* word) {
+  support::ReportMisuse(support::MisuseKind::kElidedUseAfterDestroy, word,
+                        "occ-word-poisoned-mid-episode");
+  AbortInternal(tx, AbortCode::kOccValidateFail);
+}
+
+// Validates every subscription against its observed value. The caller has
+// already issued the acquire fence that orders the preceding data reads
+// before these relaxed re-loads (Boehm's seqlock recipe).
+void ValidateSubscriptions(TxContext& tx) {
+  for (const Subscription& s : tx.subs) {
+    const uint64_t cur = s.word->load(std::memory_order_relaxed);
+    if (cur != s.value) {
+      if (OccIsPoisoned(cur)) {
+        ReportPoisonedRead(tx, s.word);
+      }
+      AbortInternal(tx, AbortCode::kOccValidateFail);
+    }
+  }
+}
+
+// Invisible read with per-access revalidation: load the data, fence, then
+// re-check every subscribed word.
+uint64_t OccRead(TxContext& tx, const std::atomic<uint64_t>* addr) {
+  const uint64_t value = addr->load(std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_acquire);
+  ValidateSubscriptions(tx);
+  return value;
+}
+
+// sw-OCC capacity counts write-set entries, checked before each new one.
+void OccReserveWrite(TxContext& tx) {
+  if (tx.writes.size() >= Config().write_capacity_lines) {
+    AbortInternal(tx, AbortCode::kCapacity);
+  }
+}
+
+uint64_t OccSubscribe(TxContext& tx, const std::atomic<uint64_t>* addr) {
+  const uint64_t cur = addr->load(std::memory_order_acquire);
+  if (OccIsPoisoned(cur)) {
+    // Subscribing a destroyed mutex's word: report, then deliver the abort
+    // the caller's lock-held check would anyway (the poison pattern reads
+    // as exclusive+pending).
+    ReportPoisonedRead(tx, addr);
+  }
+  for (const Subscription& s : tx.subs) {
+    if (s.word == addr) {
+      if (s.value != cur) {
+        // Re-subscription of a word that changed since first observed
+        // (flat-nested episode racing an exclusive owner): the snapshot is
+        // already inconsistent.
+        AbortInternal(tx, AbortCode::kOccValidateFail);
+      }
+      return cur;
+    }
+  }
+  tx.subs.push_back({addr, cur});
+  MaybeInjectedAbort(tx, fault::Site::kLoad);
+  MaybeSpuriousAbort(tx);
+  return cur;
+}
+
+void OccCommit(TxContext& tx) {
+  // Forced validation failure (chaos: models a validation step that loses
+  // every race) sits before the organic check so schedules can target it
+  // precisely.
+  MaybeInjectedAbort(tx, fault::Site::kOccValidate);
+
+  if (tx.writes.empty()) {
+    // Read-only commit: validate and go — no shared store anywhere in the
+    // whole episode.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    ValidateSubscriptions(tx);
+    return;
+  }
+
+  // Read-write commit: lock every subscribed occ word in address order (the
+  // CAS from the subscribed value *is* the validation: any intervening
+  // exclusive owner changed the version). CAS failure aborts — never spins —
+  // so two committers cannot hold-and-wait.
+  std::sort(tx.subs.begin(), tx.subs.end(),
+            [](const Subscription& a, const Subscription& b) {
+              return a.word < b.word;
+            });
+  for (const Subscription& s : tx.subs) {
+    if (!tx.locked.empty() && tx.locked.back().word == s.word) {
+      continue;  // flat-nested duplicate subscription of the same word
+    }
+    auto* word = const_cast<std::atomic<uint64_t>*>(s.word);
+    uint64_t expected = s.value;
+    if (!word->compare_exchange_strong(expected, OccAcquired(s.value),
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_relaxed)) {
+      if (OccIsPoisoned(expected)) {
+        ReportPoisonedRead(tx, s.word);
+      }
+      AbortInternal(tx, AbortCode::kOccValidateFail);
+    }
+    tx.locked.push_back({word, s.value});
+  }
+
+  // Publish the buffered writes, then release the words with their bumped
+  // versions. A raw transaction with writes but no subscription publishes
+  // unguarded (only subscribing episodes get isolation).
+  for (const WriteEntry& w : tx.writes) {
+    w.addr->store(w.value, std::memory_order_relaxed);
+  }
+  // Chaos hooks on the publish window: a stall here is a "delayed unlock"
+  // (the words stay exclusive, widening the window concurrent subscribers
+  // observe); an injected code is "version skew" (the release version jumps
+  // by an extra step, probing that nothing downstream assumes version
+  // continuity).
+  fault::MaybeStallAt(fault::Site::kOccPublish);
+  const bool skew =
+      fault::MaybeInject(fault::Site::kOccPublish) != AbortCode::kNone;
+  for (const LockedWord& lw : tx.locked) {
+    const uint64_t installed = OccAcquired(lw.pre_lock);
+    uint64_t release = installed & ~kOccExclusiveBit;
+    if (skew) {
+      release = OccAcquired(release) & ~kOccExclusiveBit;
+    }
+    ReleaseOccWord(lw.word, installed, release);
+  }
+  GlobalSwOccWordStats().occ_publishes.fetch_add(1, std::memory_order_relaxed);
+}
+
+// ---- The shared in-transaction frame (depth > 0, SimTM or sw-OCC).
+
+uint64_t LoadInTx(TxContext& tx, Backend backend,
+                  const std::atomic<uint64_t>* addr,
+                  std::atomic<uint64_t>* stripe) {
   if (const WriteEntry* w = FindWrite(tx, addr)) {
     return w->value;
   }
-
-  uint64_t w1 = stripe->load(std::memory_order_acquire);
-  if (StripeIsLocked(w1) || StripeVersion(w1) > tx.rv) {
-    AbortInternal(tx, AbortCode::kConflict);
-  }
-  uint64_t value = addr->load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  uint64_t w2 = stripe->load(std::memory_order_relaxed);
-  if (w1 != w2) {
-    AbortInternal(tx, AbortCode::kConflict);
-  }
-
-  RecordRead(tx, stripe, StripeVersion(w1));
-  TouchLine(tx, addr, kLineRead);
+  const uint64_t value = backend == Backend::kSwOcc
+                             ? OccRead(tx, addr)
+                             : SimRead(tx, addr, stripe, kLineRead);
   MaybeInjectedAbort(tx, fault::Site::kLoad);
   MaybeSpuriousAbort(tx);
   return value;
 }
 
-// SimTM body shared by TxSubscribe / TxSubscribeAt: first-access fast path
-// when this is the opening read of an outermost transaction, otherwise the
-// fully general load — both validating the caller's stripe, so nested
+// SimTM subscription of an elided lock word: when this is the opening read
+// of an outermost transaction (the overwhelmingly common case) the sets are
+// empty, so the entries are new and one line cannot exceed capacity;
+// otherwise the general load. Both validate the caller's stripe, so nested
 // subscriptions of an inline-stripe mutex still watch the stripe its
-// transitions actually bump.
+// transitions bump.
 uint64_t SimSubscribe(TxContext& tx, const std::atomic<uint64_t>* addr,
                       std::atomic<uint64_t>* stripe) {
-  if (tx.depth == 0) [[unlikely]] {
-    // Non-transactional read with strong atomicity (see TxLoad).
-    while (StripeIsLocked(stripe->load(std::memory_order_acquire))) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
-    }
-    return addr->load(std::memory_order_acquire);
-  }
   if (tx.depth != 1 || !tx.reads.empty() || !tx.writes.empty()) [[unlikely]] {
-    // Nested subscription or not the first access: full generality.
-    return TxLoadAtStripe(tx, addr, stripe);
+    return LoadInTx(tx, Backend::kSim, addr, stripe);
   }
-  uint64_t w1 = stripe->load(std::memory_order_acquire);
-  if (StripeIsLocked(w1) || StripeVersion(w1) > tx.rv) [[unlikely]] {
-    AbortInternal(tx, AbortCode::kConflict);
-  }
-  uint64_t value = addr->load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  uint64_t w2 = stripe->load(std::memory_order_relaxed);
-  if (w1 != w2) [[unlikely]] {
-    AbortInternal(tx, AbortCode::kConflict);
-  }
-  // Empty sets: the entries are new and one line cannot exceed capacity.
+  uint64_t version;
+  const uint64_t value = SimValidatedRead(tx, addr, stripe, version);
   tx.read_index.Insert(stripe, 0);
-  tx.reads.push_back({stripe, StripeVersion(w1)});
+  tx.reads.push_back({stripe, version});
   tx.lines.Insert(CacheLineOf(addr), kLineRead);
   tx.read_lines = 1;
   MaybeInjectedAbort(tx, fault::Site::kLoad);
@@ -384,30 +583,22 @@ std::string TxStats::ToString() const {
           aborts_occ_validate.load(std::memory_order_relaxed)));
 }
 
+// Every entry point below reads CurrentBackend() at most once and handles, in
+// order: RTM, then a call outside a transaction (where only SimTM waits on
+// or bumps the stripe), then the shared software frame.
+
 bool InTx() {
-  switch (CurrentBackend()) {
-    case Backend::kRtm:
-      return RtmInTx();
-    case Backend::kSwOcc:
-      return SwOccInTx();
-    case Backend::kSim:
-      break;
+  if (CurrentBackend() == Backend::kRtm) {
+    return RtmInTx();
   }
   return Tls().depth > 0;
 }
 
-int TxDepth() {
-  if (CurrentBackend() == Backend::kSwOcc) {
-    return SwOccDepth();
-  }
-  return Tls().depth;
-}
+int TxDepth() { return Tls().depth; }
 
 BeginStatus TxBeginImpl(int setjmp_result, std::jmp_buf* env) {
-  if (CurrentBackend() == Backend::kSwOcc) {
-    return SwOccBeginImpl(setjmp_result, env);
-  }
-  if (CurrentBackend() == Backend::kRtm) {
+  const Backend backend = CurrentBackend();
+  if (backend == Backend::kRtm) {
     // Pre-RTM decision path: an injected code is reported exactly like an
     // xbegin that aborted before the transaction ran (models best-effort
     // refusal and TSX being disabled mid-run by microcode).
@@ -440,7 +631,7 @@ BeginStatus TxBeginImpl(int setjmp_result, std::jmp_buf* env) {
     return BeginStatus{true, AbortCode::kNone};
   }
   {
-    // Outermost SimTM begin: an injected failure is reported through the
+    // Outermost begin: an injected failure is reported through the
     // BeginStatus (no checkpoint exists yet to long-jump to).
     AbortCode injected = fault::MaybeInject(fault::Site::kBegin);
     if (injected != AbortCode::kNone) {
@@ -449,20 +640,20 @@ BeginStatus TxBeginImpl(int setjmp_result, std::jmp_buf* env) {
     }
   }
   tx.depth = 1;
+  tx.backend = backend;
   tx.env = env;
-  tx.rv = GlobalClock().load(std::memory_order_acquire);
+  if (backend == Backend::kSim) {
+    tx.rv = GlobalClock().load(std::memory_order_acquire);
+  }
   // No ResetSets here: every transaction exit (commit or abort) clears the
   // sets, so they are already clean on entry.
-  BumpSlot(TxStats::kBegins);
+  BumpSlot(g_stats.LocalShard(), TxStats::kBegins);
   return BeginStatus{true, AbortCode::kNone};
 }
 
 void TxCommit() {
-  if (CurrentBackend() == Backend::kSwOcc) {
-    SwOccCommit();
-    return;
-  }
-  if (CurrentBackend() == Backend::kRtm) {
+  const Backend backend = CurrentBackend();
+  if (backend == Backend::kRtm) {
     RtmCommit();
     g_stats.commits.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -479,30 +670,34 @@ void TxCommit() {
   if (--tx.depth > 0) {
     return;  // nested commit defers to the outermost (RTM behaviour)
   }
-  tx.depth = 1;  // CommitOutermost may abort; keep state coherent until done
+  tx.depth = 1;  // the commit may abort; keep state coherent until done
   MaybeInjectedAbort(tx, fault::Site::kCommit);
-  CommitOutermost(tx);
+  const bool read_only = tx.writes.empty();
+  if (backend == Backend::kSwOcc) {
+    OccCommit(tx);
+  } else {
+    SimCommit(tx);
+  }
+  std::atomic<uint64_t>* shard = g_stats.LocalShard();
+  BumpSlot(shard, TxStats::kCommits);
+  if (read_only) {
+    BumpSlot(shard, TxStats::kReadOnlyCommits);
+  }
+  tx.depth = 0;
+  tx.env = nullptr;
+  tx.ResetSets();
 }
 
 void TxAbort(AbortCode code) {
-  if (CurrentBackend() == Backend::kSwOcc) {
-    SwOccAbort(code);
-  }
   if (CurrentBackend() == Backend::kRtm) {
     RtmAbort(code);
   }
   TxContext& tx = Tls();
   assert(tx.depth > 0 && "TxAbort outside a transaction");
   AbortInternal(tx, code);
-  // AbortInternal does not return.
-  std::abort();
 }
 
 void TxCancel(AbortCode code) {
-  if (CurrentBackend() == Backend::kSwOcc) {
-    SwOccCancel(code);
-    return;
-  }
   if (CurrentBackend() == Backend::kRtm) {
     // An exception unwind cannot reach software with a hardware transaction
     // still open: the first unwind step aborts it back to xbegin
@@ -517,39 +712,28 @@ void TxCancel(AbortCode code) {
 }
 
 uint64_t TxLoad(const std::atomic<uint64_t>* addr) {
-  if (CurrentBackend() == Backend::kSwOcc) {
-    return SwOccLoad(addr);
-  }
-  if (CurrentBackend() == Backend::kRtm) {
+  const Backend backend = CurrentBackend();
+  if (backend == Backend::kRtm) {
     // Inside an RTM transaction the hardware versions this load; outside,
     // it is a plain shared read.
     return addr->load(std::memory_order_acquire);
   }
   TxContext& tx = Tls();
   if (tx.depth == 0) {
-    // Non-transactional read with strong atomicity: a committer publishes
-    // its write set while holding the stripes, so waiting for an unlocked
-    // stripe guarantees we read the final committed value, never an
-    // in-flight one. (Real RTM commits atomically at xend, making this
-    // window impossible in hardware.)
-    const std::atomic<uint64_t>* stripe = StripeFor(addr);
-    while (StripeIsLocked(stripe->load(std::memory_order_acquire))) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
+    // sw-OCC is weakly atomic here: a read racing an in-flight publish can
+    // observe a partial write set. Data protected by a lock must be read
+    // under that lock — exactly Go's contract.
+    if (backend == Backend::kSim) {
+      WaitStripeUnlocked(StripeFor(addr));
     }
     return addr->load(std::memory_order_acquire);
   }
-
-  return TxLoadAtStripe(tx, addr, StripeFor(addr));
+  return LoadInTx(tx, backend, addr, StripeFor(addr));
 }
 
 void TxStore(std::atomic<uint64_t>* addr, uint64_t value) {
-  if (CurrentBackend() == Backend::kSwOcc) {
-    SwOccStore(addr, value);
-    return;
-  }
-  if (CurrentBackend() == Backend::kRtm) {
+  const Backend backend = CurrentBackend();
+  if (backend == Backend::kRtm) {
     if (RtmInTx()) {
       addr->store(value, std::memory_order_relaxed);
     } else {
@@ -559,33 +743,26 @@ void TxStore(std::atomic<uint64_t>* addr, uint64_t value) {
   }
   TxContext& tx = Tls();
   if (tx.depth == 0) {
-    // Strong atomicity: make the non-transactional store visible to
-    // concurrent transactions' validation. The new stripe version must come
-    // from the global clock so it exceeds every in-flight read version.
-    std::atomic<uint64_t>* stripe = StripeFor(addr);
-    uint64_t word = stripe->load(std::memory_order_relaxed);
-    while (true) {
-      if (StripeIsLocked(word)) {
-        word = stripe->load(std::memory_order_relaxed);
-        continue;
-      }
-      if (stripe->compare_exchange_weak(word, word | kStripeLockedBit,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-        break;
-      }
+    if (backend == Backend::kSim) {
+      // Strong atomicity: make the non-transactional store visible to
+      // concurrent transactions' validation.
+      std::atomic<uint64_t>* stripe = StripeFor(addr);
+      LockStripe(stripe);
+      addr->store(value, std::memory_order_relaxed);
+      ReleaseStripeBumped(stripe);
+    } else {
+      addr->store(value, std::memory_order_release);
     }
-    addr->store(value, std::memory_order_relaxed);
-    uint64_t version =
-        GlobalClock().fetch_add(1, std::memory_order_acq_rel) + 1;
-    stripe->store(version << 1, std::memory_order_release);
     return;
   }
-
-  TouchLine(tx, addr, kLineWritten);
   if (WriteEntry* w = FindWrite(tx, addr)) {
     w->value = value;
   } else {
+    if (backend == Backend::kSwOcc) {
+      OccReserveWrite(tx);
+    } else {
+      TouchLine(tx, addr, kLineWritten);
+    }
     AppendWrite(tx, addr, value);
   }
   MaybeInjectedAbort(tx, fault::Site::kStore);
@@ -593,32 +770,31 @@ void TxStore(std::atomic<uint64_t>* addr, uint64_t value) {
 }
 
 uint64_t TxSubscribe(const std::atomic<uint64_t>* addr) {
-  if (CurrentBackend() == Backend::kSwOcc) {
-    return SwOccSubscribe(addr);
-  }
-  if (CurrentBackend() == Backend::kRtm) {
-    return addr->load(std::memory_order_acquire);
-  }
-  return SimSubscribe(Tls(), addr, StripeFor(addr));
+  return TxSubscribeAt(addr, StripeFor(addr));
 }
 
 uint64_t TxSubscribeAt(const std::atomic<uint64_t>* addr,
                        std::atomic<uint64_t>* stripe) {
   const Backend backend = CurrentBackend();
-  if (backend == Backend::kSwOcc) [[unlikely]] {
-    return SwOccSubscribe(addr);
-  }
   if (backend == Backend::kRtm) [[unlikely]] {
     return addr->load(std::memory_order_acquire);
   }
-  return SimSubscribe(Tls(), addr, stripe);
+  TxContext& tx = Tls();
+  if (tx.depth == 0) [[unlikely]] {
+    if (backend == Backend::kSim) {
+      WaitStripeUnlocked(stripe);
+    }
+    return addr->load(std::memory_order_acquire);
+  }
+  if (backend == Backend::kSwOcc) [[unlikely]] {
+    return OccSubscribe(tx, addr);
+  }
+  return SimSubscribe(tx, addr, stripe);
 }
 
 uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
-  if (CurrentBackend() == Backend::kSwOcc) {
-    return SwOccFetchAdd(addr, delta);
-  }
-  if (CurrentBackend() == Backend::kRtm) {
+  const Backend backend = CurrentBackend();
+  if (backend == Backend::kRtm) {
     if (RtmInTx()) {
       uint64_t next = addr->load(std::memory_order_relaxed) + delta;
       addr->store(next, std::memory_order_relaxed);
@@ -628,52 +804,34 @@ uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
   }
   TxContext& tx = Tls();
   if (tx.depth == 0) {
+    if (backend == Backend::kSwOcc) {
+      return addr->fetch_add(delta, std::memory_order_acq_rel) + delta;
+    }
     // Non-transactional RMW under the stripe lock: strongly atomic against
     // both committing transactions and other non-transactional updaters.
     std::atomic<uint64_t>* stripe = StripeFor(addr);
-    uint64_t word = stripe->load(std::memory_order_relaxed);
-    while (true) {
-      if (StripeIsLocked(word)) {
-        word = stripe->load(std::memory_order_relaxed);
-        continue;
-      }
-      if (stripe->compare_exchange_weak(word, word | kStripeLockedBit,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-        break;
-      }
-    }
-    uint64_t next = addr->load(std::memory_order_relaxed) + delta;
+    LockStripe(stripe);
+    const uint64_t next = addr->load(std::memory_order_relaxed) + delta;
     addr->store(next, std::memory_order_relaxed);
-    uint64_t version =
-        GlobalClock().fetch_add(1, std::memory_order_acq_rel) + 1;
-    stripe->store(version << 1, std::memory_order_release);
+    ReleaseStripeBumped(stripe);
     return next;
   }
 
   if (WriteEntry* w = FindWrite(tx, addr)) {
     // The cell is already ours: the buffered value is the transaction-local
-    // truth, no stripe validation or set accounting is needed.
+    // truth, no validation or set accounting is needed.
     w->value += delta;
     MaybeInjectedAbort(tx, fault::Site::kStore);
     MaybeSpuriousAbort(tx);
     return w->value;
   }
-
-  // Validated read of the committed value (same protocol as TxLoad).
-  std::atomic<uint64_t>* stripe = StripeFor(addr);
-  uint64_t w1 = stripe->load(std::memory_order_acquire);
-  if (StripeIsLocked(w1) || StripeVersion(w1) > tx.rv) {
-    AbortInternal(tx, AbortCode::kConflict);
+  uint64_t value;
+  if (backend == Backend::kSwOcc) {
+    value = OccRead(tx, addr);
+    OccReserveWrite(tx);
+  } else {
+    value = SimRead(tx, addr, StripeFor(addr), kLineRead | kLineWritten);
   }
-  uint64_t value = addr->load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  uint64_t w2 = stripe->load(std::memory_order_relaxed);
-  if (w1 != w2) {
-    AbortInternal(tx, AbortCode::kConflict);
-  }
-  RecordRead(tx, stripe, StripeVersion(w1));
-  TouchLine(tx, addr, kLineRead | kLineWritten);
   value += delta;
   AppendWrite(tx, addr, value);
   MaybeInjectedAbort(tx, fault::Site::kLoad);
@@ -683,8 +841,12 @@ uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
 }
 
 void StripeGuardedUpdate(const void* addr, void (*fn)(void*), void* arg) {
-  const Backend backend = CurrentBackend();
-  if (backend == Backend::kRtm || backend == Backend::kSwOcc) {
+  StripeGuardedUpdateAt(StripeFor(addr), fn, arg);
+}
+
+void StripeGuardedUpdateAt(std::atomic<uint64_t>* stripe, void (*fn)(void*),
+                           void* arg) {
+  if (CurrentBackend() != Backend::kSim) {
     // Real RTM gets strong atomicity from cache coherence. Under sw-OCC
     // nothing validates against the stripe table — conflicts are carried by
     // the occ words the gosync transitions maintain — so the guarded update
@@ -692,46 +854,9 @@ void StripeGuardedUpdate(const void* addr, void (*fn)(void*), void* arg) {
     fn(arg);
     return;
   }
-  std::atomic<uint64_t>* stripe = StripeFor(addr);
-  uint64_t word = stripe->load(std::memory_order_relaxed);
-  while (true) {
-    if (StripeIsLocked(word)) {
-      word = stripe->load(std::memory_order_relaxed);
-      continue;
-    }
-    if (stripe->compare_exchange_weak(word, word | kStripeLockedBit,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-      break;
-    }
-  }
+  LockStripe(stripe);
   fn(arg);
-  uint64_t version = GlobalClock().fetch_add(1, std::memory_order_acq_rel) + 1;
-  stripe->store(version << 1, std::memory_order_release);
-}
-
-void StripeGuardedUpdateAt(std::atomic<uint64_t>* stripe, void (*fn)(void*),
-                           void* arg) {
-  const Backend backend = CurrentBackend();
-  if (backend == Backend::kRtm || backend == Backend::kSwOcc) {
-    fn(arg);
-    return;
-  }
-  uint64_t word = stripe->load(std::memory_order_relaxed);
-  while (true) {
-    if (StripeIsLocked(word)) {
-      word = stripe->load(std::memory_order_relaxed);
-      continue;
-    }
-    if (stripe->compare_exchange_weak(word, word | kStripeLockedBit,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  fn(arg);
-  uint64_t version = GlobalClock().fetch_add(1, std::memory_order_acq_rel) + 1;
-  stripe->store(version << 1, std::memory_order_release);
+  ReleaseStripeBumped(stripe);
 }
 
 }  // namespace gocc::htm

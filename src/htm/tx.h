@@ -1,25 +1,32 @@
 // Transaction API with RTM semantics.
 //
-// Two backends implement this API (selected at runtime, see config.h):
+// Three backends implement this API (selected at runtime, see config.h):
 //
 //  * SimTM — a TL2-style software transactional backend: lazy versioning
 //    (writes buffered until commit), per-read validation against a striped
 //    version-lock table, commit-time write-stripe locking + read-set
 //    validation, capacity aborts modelled on cache geometry, flat nesting
 //    (like RTM, an abort anywhere rolls back to the outermost begin).
+//  * sw-OCC — software OCC on the elided mutexes' versioned lock words
+//    (swocc.h): invisible reads revalidated against the subscribed words,
+//    buffered writes, address-sorted CAS commit, weak atomicity outside a
+//    transaction. It shares SimTM's transaction frame (checkpoint, flat
+//    nesting, write buffer, abort and cancel) and differs only in read
+//    validation, subscription and commit (DESIGN.md §4.10).
 //  * RTM — real xbegin/xend/xabort (rtm_backend.cc) when the hardware probe
 //    succeeds; transactional loads/stores degrade to plain atomics because
 //    the hardware versions memory itself.
 //
 // Control-flow contract (mirrors xbegin): TxBegin records a checkpoint
-// (a setjmp env for SimTM, the hardware checkpoint for RTM). Any abort
-// transfers control back so that TxBegin appears to return again, this time
-// with `started == false` and the abort code. Use the GOCC_TX_BEGIN macro,
-// which plants the checkpoint in the caller's frame.
+// (a setjmp env for the software backends, the hardware checkpoint for
+// RTM). Any abort transfers control back so that TxBegin appears to return
+// again, this time with `started == false` and the abort code. Use the
+// GOCC_TX_BEGIN macro, which plants the checkpoint in the caller's frame.
 //
-// CAUTION (SimTM only): locals modified between the checkpoint and an abort
-// have indeterminate values after the longjmp unless declared volatile, and
-// destructors of locals constructed after the checkpoint do not run on abort.
+// CAUTION (software backends): locals modified between the checkpoint and an
+// abort have indeterminate values after the longjmp unless declared volatile,
+// and destructors of locals constructed after the checkpoint do not run on
+// abort.
 // Critical sections must route shared data through htm::Shared<T> and avoid
 // owning heap allocations across abort points. Real RTM has the same
 // discipline for different reasons (no faulting/IO inside transactions).
@@ -65,7 +72,7 @@ void TxCommit();
 // propagate normally. No-op when no transaction is open. Under real RTM an
 // unwind never reaches software with a hardware transaction still open (the
 // first unwind step aborts it back to xbegin), so this only has to handle
-// SimTM state.
+// software-backend state.
 void TxCancel(AbortCode code);
 
 // Transactional load of a 64-bit cell. Outside a transaction this is a plain
@@ -73,7 +80,8 @@ void TxCancel(AbortCode code);
 uint64_t TxLoad(const std::atomic<uint64_t>* addr);
 
 // Transactional store of a 64-bit cell. Outside a transaction the store is
-// stripe-guarded so concurrent transactions observe it (strong atomicity).
+// stripe-guarded on SimTM so concurrent transactions observe it (strong
+// atomicity); sw-OCC stores it plainly (weak atomicity).
 void TxStore(std::atomic<uint64_t>* addr, uint64_t value);
 
 // Transactional load specialized for the lock-word subscription that opens
@@ -99,9 +107,10 @@ uint64_t TxSubscribeAt(const std::atomic<uint64_t>* addr,
 // Fused transactional read-modify-write: semantically TxStore(addr,
 // TxLoad(addr) + delta) (2^64 wrapping add in the bit domain), but performs
 // the write-set lookup, stripe validation, and capacity accounting once.
-// Outside a transaction the whole RMW happens under the stripe lock, so —
-// unlike a separate Load/Store pair — it is atomic against concurrent
-// non-transactional updaters too. Returns the new value.
+// Outside a transaction the whole RMW happens under the stripe lock on SimTM
+// (an atomic fetch_add on sw-OCC and RTM), so — unlike a separate Load/Store
+// pair — it is atomic against concurrent non-transactional updaters too.
+// Returns the new value.
 uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta);
 
 // Runs `fn` as a stripe-guarded non-transactional update of `addr`:

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <csetjmp>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "src/htm/fault.h"
 #include "src/htm/shared.h"
 #include "src/htm/stats.h"
+#include "src/htm/tx.h"
 #include "src/optilib/optilock.h"
 #include "src/support/rng.h"
 
@@ -361,6 +363,53 @@ TEST_F(FaultInjectionTest, HundredPercentAbortRateStillMakesProgress) {
   EXPECT_EQ(r_sum.Load(), kThreads * kIters);
   EXPECT_EQ(GlobalOptiStats().fast_commits.load(), 0u)
       << "no transaction can survive a 100% abort schedule";
+}
+
+// Which fault sites an episode visits is part of the substrate's contract:
+// schedules written as "skip k checks at site S" only replay if every
+// backend checks the same sites in the same order. An armed plan with no
+// rule and no schedule counts every visit without injecting, so one fixed
+// episode pins the per-backend schedule exactly. A write-set hit and a
+// repeated sw-OCC subscription visit no site.
+uint64_t HookVisitsOfFixedEpisode(htm::Backend backend) {
+  htm::PinThreadBackend(backend);
+  std::atomic<uint64_t> word{0};
+  htm::Shared<int64_t> a(5);
+  htm::Shared<int64_t> b(0);
+  htm::Shared<int64_t> c(10);
+  htm::fault::Arm(FaultPlan{});
+
+  std::jmp_buf env;
+  htm::BeginStatus status = GOCC_TX_BEGIN(env);
+  EXPECT_TRUE(status.started);
+  if (status.started) {
+    (void)htm::TxSubscribe(&word);
+    (void)htm::TxSubscribe(&word);
+    EXPECT_EQ(a.Load(), 5);    // load miss
+    b.Store(1);
+    b.Store(2);                // overwrite
+    EXPECT_EQ(b.Load(), 2);    // write-set hit
+    EXPECT_EQ(c.Add(1), 11);   // fetch-add miss
+    EXPECT_EQ(c.Add(1), 12);   // fetch-add hit
+    htm::TxCommit();
+  }
+
+  const uint64_t checked = htm::fault::GlobalFaultStats().checked.load();
+  EXPECT_EQ(htm::fault::GlobalFaultStats().TotalInjected(), 0u);
+  htm::fault::Disarm();
+  htm::UnpinThreadBackend();
+  EXPECT_EQ(b.Load(), 2);
+  EXPECT_EQ(c.Load(), 12);
+  return checked;
+}
+
+TEST_F(FaultInjectionTest, HookVisitScheduleIsPinnedPerBackend) {
+  // SimTM: begin, subscribe, re-subscribe (a validated load), 2 stores,
+  // load miss, fetch-add miss (load + store), fetch-add hit (store),
+  // commit. sw-OCC: the same minus the repeated subscription, plus the
+  // commit's occ_validate and occ_publish checks.
+  EXPECT_EQ(HookVisitsOfFixedEpisode(htm::Backend::kSim), 10u);
+  EXPECT_EQ(HookVisitsOfFixedEpisode(htm::Backend::kSwOcc), 11u);
 }
 
 // Satellite: RWMutex mismatch recovery under injected aborts. The

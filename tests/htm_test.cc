@@ -8,9 +8,11 @@
 #include <vector>
 
 #include "src/htm/config.h"
+#include "src/htm/fault.h"
 #include "src/htm/shared.h"
 #include "src/htm/stats.h"
 #include "src/htm/stripe_table.h"
+#include "src/htm/swocc.h"
 #include "src/htm/tx.h"
 
 namespace gocc::htm {
@@ -372,6 +374,116 @@ TEST_F(HtmTest, StatsCountCommitsAndAborts) {
   EXPECT_EQ(stats.begins.load(), 3u);
 }
 
+// Runs `body` once as a transaction pinned to `backend`; returns kNone when
+// it committed, else the code of the abort that ended the attempt.
+template <typename Fn>
+AbortCode AttemptOn(Backend backend, Fn&& body) {
+  PinThreadBackend(backend);
+  std::jmp_buf env;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  if (status.started) {
+    body();
+    TxCommit();
+  }
+  UnpinThreadBackend();
+  return status.started ? AbortCode::kNone : status.abort_code;
+}
+
+// SimTM and sw-OCC episodes interleaved on one thread: whatever one backend
+// leaves behind in the thread's transaction state (buffered writes, locked
+// words, depth) must not leak into the next episode on the other backend.
+TEST_F(HtmTest, BackendAlternationOnOneThread) {
+  Shared<int64_t> x(0);
+  Shared<int64_t> y(0);
+  std::atomic<uint64_t> words[2] = {0, 0};  // occ words, address-ordered
+  const TxStats& stats = GlobalTxStats();
+  auto expect_state = [&](int64_t want_x, int64_t want_y, uint64_t begins,
+                          uint64_t commits, uint64_t aborts) {
+    EXPECT_EQ(x.Load(), want_x);
+    EXPECT_EQ(y.Load(), want_y);
+    EXPECT_EQ(stats.begins.load(), begins);
+    EXPECT_EQ(stats.commits.load(), commits);
+    EXPECT_EQ(stats.TotalAborts(), aborts);
+    for (Backend b : {Backend::kSim, Backend::kSwOcc}) {
+      PinThreadBackend(b);
+      EXPECT_FALSE(InTx());
+      EXPECT_EQ(TxDepth(), 0);
+      UnpinThreadBackend();
+    }
+  };
+
+  EXPECT_EQ(AttemptOn(Backend::kSim, [&] { x.Store(1); }), AbortCode::kNone);
+  expect_state(1, 0, 1, 1, 0);
+
+  EXPECT_EQ(AttemptOn(Backend::kSwOcc,
+                      [&] {
+                        (void)TxSubscribe(&words[0]);
+                        y.Store(1);
+                      }),
+            AbortCode::kNone);
+  expect_state(1, 1, 2, 2, 0);
+  const uint64_t w0 = words[0].load();
+  EXPECT_EQ(OccVersion(w0), 1u);
+
+  fault::FaultPlan plan;
+  plan.AbortNext(fault::Site::kCommit, 1, AbortCode::kConflict);
+  fault::Arm(plan);
+  EXPECT_EQ(AttemptOn(Backend::kSim, [&] { x.Store(2); }),
+            AbortCode::kConflict);
+  fault::Disarm();
+  expect_state(1, 1, 3, 2, 1);
+
+  plan = fault::FaultPlan{};
+  plan.AbortNext(fault::Site::kOccValidate, 1, AbortCode::kOccValidateFail);
+  fault::Arm(plan);
+  EXPECT_EQ(AttemptOn(Backend::kSwOcc,
+                      [&] {
+                        (void)TxSubscribe(&words[0]);
+                        y.Store(2);
+                      }),
+            AbortCode::kOccValidateFail);
+  fault::Disarm();
+  expect_state(1, 1, 4, 2, 2);
+  EXPECT_EQ(words[0].load(), w0);
+
+  // Organic validation failure with a word already locked: the commit locks
+  // words[0], then finds words[1] moved on and must roll words[0] back.
+  EXPECT_EQ(AttemptOn(Backend::kSwOcc,
+                      [&] {
+                        (void)TxSubscribe(&words[0]);
+                        (void)TxSubscribe(&words[1]);
+                        y.Store(3);
+                        words[1].store(OccAcquired(0) & ~kOccExclusiveBit);
+                      }),
+            AbortCode::kOccValidateFail);
+  expect_state(1, 1, 5, 2, 3);
+  EXPECT_EQ(words[0].load(), w0);
+
+  PinThreadBackend(Backend::kSim);
+  std::jmp_buf env;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  ASSERT_TRUE(status.started);
+  x.Store(3);
+  TxCancel(AbortCode::kExplicit);
+  UnpinThreadBackend();
+  expect_state(1, 1, 6, 2, 4);
+
+  EXPECT_EQ(AttemptOn(Backend::kSim, [&] { x.Store(y.Load() + 10); }),
+            AbortCode::kNone);
+  expect_state(11, 1, 7, 3, 4);
+
+  EXPECT_EQ(AttemptOn(Backend::kSwOcc,
+                      [&] {
+                        (void)TxSubscribe(&words[1]);
+                        y.Store(x.Load() + 1);
+                      }),
+            AbortCode::kNone);
+  expect_state(11, 12, 8, 4, 4);
+  EXPECT_EQ(stats.aborts_conflict.load(), 1u);
+  EXPECT_EQ(stats.aborts_occ_validate.load(), 2u);
+  EXPECT_EQ(stats.aborts_explicit.load(), 1u);
+}
+
 TEST_F(HtmTest, StripeHelpers) {
   Shared<int64_t> a(0);
   const void* addr = a.cell();
@@ -379,7 +491,7 @@ TEST_F(HtmTest, StripeHelpers) {
   size_t idx = StripeIndexFor(addr);
   EXPECT_LT(idx, kNumStripes);
   uint64_t before = StripeFor(addr)->load();
-  NotifyNonTxWrite(addr);
+  StripeGuardedUpdate(addr, [] {});
   uint64_t after = StripeFor(addr)->load();
   EXPECT_GT(StripeVersion(after), StripeVersion(before));
   EXPECT_FALSE(StripeIsLocked(after));
