@@ -159,7 +159,9 @@ JsonReport::JsonReport(const std::string& bench_name) : name_(bench_name) {
   // Snapshot every active GOCC_* knob into the config block: a committed
   // BENCH_*.json is only comparable to another run if both carry the same
   // backend/chaos/policy environment, and the knobs that shaped a run are
-  // otherwise invisible in the artifact.
+  // otherwise invisible in the artifact. GOCC_BENCH_JSON_DIR is left out:
+  // it says where the artifact goes, not how the run behaved, and would
+  // stamp a machine-specific path into committed baselines.
   for (char** env = environ; env != nullptr && *env != nullptr; ++env) {
     const char* entry = *env;
     if (std::strncmp(entry, "GOCC_", 5) != 0) {
@@ -169,7 +171,11 @@ JsonReport::JsonReport(const std::string& bench_name) : name_(bench_name) {
     if (eq == nullptr) {
       continue;
     }
-    Config("env." + std::string(entry, eq - entry), std::string(eq + 1));
+    const std::string name(entry, eq - entry);
+    if (name == "GOCC_BENCH_JSON_DIR") {
+      continue;
+    }
+    Config("env." + name, std::string(eq + 1));
   }
   g_active_report = this;
 }

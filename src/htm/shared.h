@@ -8,6 +8,14 @@
 // This is the only API difference the software substitution imposes on
 // workload code; see DESIGN.md §4.1.
 //
+// Layout: each cell is a 16-byte, 16-aligned slot holding the value and its
+// own SimTM version stripe, so the two always share one cache line and a
+// transactional access touches only that line — the way RTM detects
+// conflicts in the data's own lines. Every access routes through that
+// stripe (TxLoadAt / TxStoreAt / TxFetchAddAt); the hashed global stripe
+// table is only for raw std::atomic cells. Under RTM and sw-OCC the stripe
+// word is unused, and four cells fit a line instead of eight.
+//
 // T must be trivially copyable and at most 8 bytes (int, pointer, double,
 // small structs). Larger shared state is expressed as arrays of Shared
 // cells or Shared pointers to immutable payloads — the same shapes the Go
@@ -27,7 +35,7 @@
 namespace gocc::htm {
 
 template <typename T>
-class Shared {
+class alignas(16) Shared {
   static_assert(std::is_trivially_copyable_v<T>,
                 "Shared<T> requires a trivially copyable T");
   static_assert(sizeof(T) <= sizeof(uint64_t),
@@ -41,10 +49,10 @@ class Shared {
   Shared& operator=(const Shared&) = delete;
 
   // Transactional (or stripe-aware plain) load.
-  T Load() const { return Unpack(TxLoad(&cell_)); }
+  T Load() const { return Unpack(TxLoadAt(&cell_, &stripe_)); }
 
   // Transactional (or strongly-atomic plain) store.
-  void Store(T value) { TxStore(&cell_, Pack(value)); }
+  void Store(T value) { TxStoreAt(&cell_, Pack(value), &stripe_); }
 
   // Read-modify-write inside the current transaction (or strongly atomic
   // outside one — note that outside a transaction this is NOT a single
@@ -65,7 +73,7 @@ class Shared {
   T Add(T delta) {
     static_assert(std::is_arithmetic_v<T>);
     if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
-      return Unpack(TxFetchAdd(&cell_, Pack(delta)));
+      return Unpack(TxFetchAddAt(&cell_, Pack(delta), &stripe_));
     } else {
       return Update([delta](T v) { return static_cast<T>(v + delta); });
     }
@@ -80,8 +88,11 @@ class Shared {
     return Unpack(cell_.load(std::memory_order_relaxed));
   }
 
-  // The underlying cell (used by tests to address stripes).
-  const std::atomic<uint64_t>* cell() const { return &cell_; }
+  // The cell's address and its inline stripe (tests address both). The
+  // address is untyped so a raw TxLoad, which would validate against the
+  // hashed table instead of this stripe, does not compile on it.
+  const void* cell() const { return &cell_; }
+  std::atomic<uint64_t>* stripe() const { return &stripe_; }
 
  private:
   static uint64_t Pack(T value) {
@@ -96,7 +107,15 @@ class Shared {
   }
 
   mutable std::atomic<uint64_t> cell_;
+  // SimTM version stripe (`version << 1 | locked`, stripe_table.h).
+  mutable std::atomic<uint64_t> stripe_{0};
 };
+
+// A 16-byte slot at 16-byte alignment never straddles a 64-byte line, so a
+// cell and its stripe always share one.
+static_assert(sizeof(Shared<uint64_t>) == 16 &&
+                  alignof(Shared<uint64_t>) == 16,
+              "a Shared cell and its stripe must share one cache line");
 
 }  // namespace gocc::htm
 

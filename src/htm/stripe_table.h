@@ -1,17 +1,24 @@
-// Versioned-lock stripe table (TL2-style).
+// Versioned-lock stripes (TL2-style) and the hashed stripe table.
 //
-// Every memory word is hashed to one of kNumStripes versioned locks. A stripe
-// word encodes `version << 1 | locked`. Transactions validate reads against
-// stripe versions; commit acquires the stripes of the write set, publishes
-// the buffered values, and releases the stripes with a new version.
+// A stripe word encodes `version << 1 | locked`. Transactions validate reads
+// against stripe versions; commit acquires the stripes of the write set,
+// publishes the buffered values, and releases the stripes with a new
+// version taken from the global clock.
+//
+// Most stripes are inline: every htm::Shared<T> cell carries its own beside
+// its value (shared.h), and a tracked gosync mutex keeps one on its lock
+// line. The table below serves only raw std::atomic cells (tests, the
+// footprint bench and probes, occ-word subscriptions): each such word is
+// hashed to one of kNumStripes table entries, which unrelated words may
+// share.
 //
 // Non-transactional code that mutates memory watched by transactions (most
 // importantly the gosync::Mutex state word a fast-path transaction
 // "subscribes" to) must do so through StripeGuardedUpdate /
-// StripeGuardedUpdateAt (tx.h), or a depth-0 TxStore / TxFetchAdd, so
-// in-flight readers of that stripe abort — this provides the
-// strong-atomicity edge real RTM gets for free from cache coherence. A
-// tracked mutex keeps its own inline stripe instead of a table entry.
+// StripeGuardedUpdateAt (tx.h), or a depth-0 TxStore / TxFetchAdd (or
+// their *At forms), so in-flight readers of that stripe abort — this
+// provides the strong-atomicity edge real RTM gets for free from cache
+// coherence.
 
 #ifndef GOCC_SRC_HTM_STRIPE_TABLE_H_
 #define GOCC_SRC_HTM_STRIPE_TABLE_H_

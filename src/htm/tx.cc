@@ -42,6 +42,13 @@ struct Subscription {
 struct WriteEntry {
   std::atomic<uint64_t>* addr;
   uint64_t value;
+  // SimTM: the cell's version stripe, locked by the commit.
+  std::atomic<uint64_t>* stripe;
+  // sw-OCC: set while TxFetchAdd is the only access to the cell. The commit
+  // then publishes `delta`, the summed adds, with an atomic fetch_add, so
+  // adds made under other elided locks (other occ words) are not lost.
+  uint64_t delta = 0;
+  bool add_only = false;
 };
 
 // A SimTM stripe or sw-OCC occ word held by an in-progress commit, with
@@ -109,9 +116,10 @@ WriteEntry* FindWrite(TxContext& tx, const std::atomic<uint64_t>* addr) {
 }
 
 // Appends a write-set entry for an address not yet in the write set.
-void AppendWrite(TxContext& tx, std::atomic<uint64_t>* addr, uint64_t value) {
+WriteEntry& AppendWrite(TxContext& tx, std::atomic<uint64_t>* addr,
+                        uint64_t value, std::atomic<uint64_t>* stripe) {
   tx.write_index.Insert(addr, static_cast<uint32_t>(tx.writes.size()));
-  tx.writes.push_back({addr, value});
+  return tx.writes.emplace_back(WriteEntry{addr, value, stripe});
 }
 
 // TxContext has vector members, so a plain `thread_local TxContext` would
@@ -243,7 +251,7 @@ void MaybeSpuriousAbort(TxContext& tx) {
   }
 }
 
-// ---- SimTM: TL2 validation against the striped version table.
+// ---- SimTM: TL2 validation against versioned lock stripes.
 
 // The w1/value/fence/w2 protocol: the stripe must be unlocked and no newer
 // than the read version both before and after the data load. Returns the
@@ -324,12 +332,12 @@ void SimCommit(TxContext& tx) {
     return;
   }
 
-  // Lock the stripes covering the write set in address order (prevents
-  // deadlock between committers).
+  // Lock the write set's stripes in address order (prevents deadlock
+  // between committers).
   std::vector<std::atomic<uint64_t>*>& stripes = tx.commit_stripes;
   stripes.clear();
   for (const WriteEntry& w : tx.writes) {
-    stripes.push_back(StripeFor(w.addr));
+    stripes.push_back(w.stripe);
   }
   std::sort(stripes.begin(), stripes.end());
   stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
@@ -495,7 +503,11 @@ void OccCommit(TxContext& tx) {
   // versions. A raw transaction with writes but no subscription publishes
   // unguarded (only subscribing episodes get isolation).
   for (const WriteEntry& w : tx.writes) {
-    w.addr->store(w.value, std::memory_order_relaxed);
+    if (w.add_only) {
+      w.addr->fetch_add(w.delta, std::memory_order_relaxed);
+    } else {
+      w.addr->store(w.value, std::memory_order_relaxed);
+    }
   }
   // Chaos hooks on the publish window: a stall here is a "delayed unlock"
   // (the words stay exclusive, widening the window concurrent subscribers
@@ -521,7 +533,8 @@ void OccCommit(TxContext& tx) {
 uint64_t LoadInTx(TxContext& tx, Backend backend,
                   const std::atomic<uint64_t>* addr,
                   std::atomic<uint64_t>* stripe) {
-  if (const WriteEntry* w = FindWrite(tx, addr)) {
+  if (WriteEntry* w = FindWrite(tx, addr)) {
+    w->add_only = false;  // the value was observed: publish it as a store
     return w->value;
   }
   const uint64_t value = backend == Backend::kSwOcc
@@ -594,7 +607,12 @@ bool InTx() {
   return Tls().depth > 0;
 }
 
-int TxDepth() { return Tls().depth; }
+int TxDepth() {
+  if (CurrentBackend() == Backend::kRtm) {
+    return RtmInTx() ? 1 : 0;
+  }
+  return Tls().depth;
+}
 
 BeginStatus TxBeginImpl(int setjmp_result, std::jmp_buf* env) {
   const Backend backend = CurrentBackend();
@@ -712,6 +730,11 @@ void TxCancel(AbortCode code) {
 }
 
 uint64_t TxLoad(const std::atomic<uint64_t>* addr) {
+  return TxLoadAt(addr, StripeFor(addr));
+}
+
+uint64_t TxLoadAt(const std::atomic<uint64_t>* addr,
+                  std::atomic<uint64_t>* stripe) {
   const Backend backend = CurrentBackend();
   if (backend == Backend::kRtm) {
     // Inside an RTM transaction the hardware versions this load; outside,
@@ -724,14 +747,19 @@ uint64_t TxLoad(const std::atomic<uint64_t>* addr) {
     // observe a partial write set. Data protected by a lock must be read
     // under that lock — exactly Go's contract.
     if (backend == Backend::kSim) {
-      WaitStripeUnlocked(StripeFor(addr));
+      WaitStripeUnlocked(stripe);
     }
     return addr->load(std::memory_order_acquire);
   }
-  return LoadInTx(tx, backend, addr, StripeFor(addr));
+  return LoadInTx(tx, backend, addr, stripe);
 }
 
 void TxStore(std::atomic<uint64_t>* addr, uint64_t value) {
+  TxStoreAt(addr, value, StripeFor(addr));
+}
+
+void TxStoreAt(std::atomic<uint64_t>* addr, uint64_t value,
+               std::atomic<uint64_t>* stripe) {
   const Backend backend = CurrentBackend();
   if (backend == Backend::kRtm) {
     if (RtmInTx()) {
@@ -746,7 +774,6 @@ void TxStore(std::atomic<uint64_t>* addr, uint64_t value) {
     if (backend == Backend::kSim) {
       // Strong atomicity: make the non-transactional store visible to
       // concurrent transactions' validation.
-      std::atomic<uint64_t>* stripe = StripeFor(addr);
       LockStripe(stripe);
       addr->store(value, std::memory_order_relaxed);
       ReleaseStripeBumped(stripe);
@@ -757,13 +784,14 @@ void TxStore(std::atomic<uint64_t>* addr, uint64_t value) {
   }
   if (WriteEntry* w = FindWrite(tx, addr)) {
     w->value = value;
+    w->add_only = false;
   } else {
     if (backend == Backend::kSwOcc) {
       OccReserveWrite(tx);
     } else {
       TouchLine(tx, addr, kLineWritten);
     }
-    AppendWrite(tx, addr, value);
+    AppendWrite(tx, addr, value, stripe);
   }
   MaybeInjectedAbort(tx, fault::Site::kStore);
   MaybeSpuriousAbort(tx);
@@ -793,6 +821,11 @@ uint64_t TxSubscribeAt(const std::atomic<uint64_t>* addr,
 }
 
 uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
+  return TxFetchAddAt(addr, delta, StripeFor(addr));
+}
+
+uint64_t TxFetchAddAt(std::atomic<uint64_t>* addr, uint64_t delta,
+                      std::atomic<uint64_t>* stripe) {
   const Backend backend = CurrentBackend();
   if (backend == Backend::kRtm) {
     if (RtmInTx()) {
@@ -809,7 +842,6 @@ uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
     }
     // Non-transactional RMW under the stripe lock: strongly atomic against
     // both committing transactions and other non-transactional updaters.
-    std::atomic<uint64_t>* stripe = StripeFor(addr);
     LockStripe(stripe);
     const uint64_t next = addr->load(std::memory_order_relaxed) + delta;
     addr->store(next, std::memory_order_relaxed);
@@ -821,6 +853,7 @@ uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
     // The cell is already ours: the buffered value is the transaction-local
     // truth, no validation or set accounting is needed.
     w->value += delta;
+    w->delta += delta;
     MaybeInjectedAbort(tx, fault::Site::kStore);
     MaybeSpuriousAbort(tx);
     return w->value;
@@ -830,10 +863,12 @@ uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
     value = OccRead(tx, addr);
     OccReserveWrite(tx);
   } else {
-    value = SimRead(tx, addr, StripeFor(addr), kLineRead | kLineWritten);
+    value = SimRead(tx, addr, stripe, kLineRead | kLineWritten);
   }
   value += delta;
-  AppendWrite(tx, addr, value);
+  WriteEntry& w = AppendWrite(tx, addr, value, stripe);
+  w.delta = delta;
+  w.add_only = backend == Backend::kSwOcc;
   MaybeInjectedAbort(tx, fault::Site::kLoad);
   MaybeInjectedAbort(tx, fault::Site::kStore);
   MaybeSpuriousAbort(tx);

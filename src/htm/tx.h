@@ -3,8 +3,9 @@
 // Three backends implement this API (selected at runtime, see config.h):
 //
 //  * SimTM — a TL2-style software transactional backend: lazy versioning
-//    (writes buffered until commit), per-read validation against a striped
-//    version-lock table, commit-time write-stripe locking + read-set
+//    (writes buffered until commit), per-read validation against versioned
+//    lock stripes (inline in each Shared<T> cell and tracked mutex, hashed
+//    for raw cells), commit-time write-stripe locking + read-set
 //    validation, capacity aborts modelled on cache geometry, flat nesting
 //    (like RTM, an abort anywhere rolls back to the outermost begin).
 //  * sw-OCC — software OCC on the elided mutexes' versioned lock words
@@ -46,7 +47,8 @@ namespace gocc::htm {
 // True while the calling thread has an open transaction.
 bool InTx();
 
-// Nesting depth of the calling thread's transaction (0 = none).
+// Nesting depth of the calling thread's transaction (0 = none). Inside an
+// RTM transaction this is 1: the hardware does not expose its nesting depth.
 int TxDepth();
 
 // Implementation detail of GOCC_TX_BEGIN: begins (or re-enters after abort)
@@ -76,13 +78,25 @@ void TxCommit();
 void TxCancel(AbortCode code);
 
 // Transactional load of a 64-bit cell. Outside a transaction this is a plain
-// acquire load.
+// acquire load (on SimTM, once no committer holds the cell's stripe).
+//
+// The *At variants take the cell's SimTM version stripe from the caller:
+// htm::Shared<T> keeps one inline beside its value (shared.h), so a
+// transactional access touches only the cell's own cache line. The plain
+// variants are for raw std::atomic cells and use the hashed global stripe
+// table (StripeFor). A cell must always be accessed with the same stripe —
+// the one its non-transactional writers bump. RTM and sw-OCC ignore
+// `stripe` (hardware / occ words carry the conflicts).
 uint64_t TxLoad(const std::atomic<uint64_t>* addr);
+uint64_t TxLoadAt(const std::atomic<uint64_t>* addr,
+                  std::atomic<uint64_t>* stripe);
 
 // Transactional store of a 64-bit cell. Outside a transaction the store is
 // stripe-guarded on SimTM so concurrent transactions observe it (strong
 // atomicity); sw-OCC stores it plainly (weak atomicity).
 void TxStore(std::atomic<uint64_t>* addr, uint64_t value);
+void TxStoreAt(std::atomic<uint64_t>* addr, uint64_t value,
+               std::atomic<uint64_t>* stripe);
 
 // Transactional load specialized for the lock-word subscription that opens
 // every elided critical section: semantically identical to TxLoad, but when
@@ -111,7 +125,16 @@ uint64_t TxSubscribeAt(const std::atomic<uint64_t>* addr,
 // (an atomic fetch_add on sw-OCC and RTM), so — unlike a separate Load/Store
 // pair — it is atomic against concurrent non-transactional updaters too.
 // Returns the new value.
+//
+// Under sw-OCC a cell the transaction has only added to is published at
+// commit with an atomic fetch_add of the summed deltas, so adds made under
+// different elided locks are never lost; the returned value is validated
+// only against the transaction's own subscriptions (DESIGN.md §4.10). A
+// later TxLoad or TxStore of the cell turns it into an ordinary buffered
+// write.
 uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta);
+uint64_t TxFetchAddAt(std::atomic<uint64_t>* addr, uint64_t delta,
+                      std::atomic<uint64_t>* stripe);
 
 // Runs `fn` as a stripe-guarded non-transactional update of `addr`:
 // lock stripe -> fn() -> release stripe with a bumped version. Any in-flight

@@ -3,12 +3,21 @@
 // batch-timed loop in bench/bench_util.h. The histogram trades memory for
 // a bounded ~12.5% relative bucket error; the tests below pin both the
 // exact small-value region and that bound, plus the deterministic
-// pace-bound interaction of BatchTimedLoop.
+// pace-bound interaction of BatchTimedLoop and JsonReport's config block.
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -161,6 +170,44 @@ TEST(BatchTimedLoopTest, PartialFinalBatchIsStillRecorded) {
   }
   EXPECT_EQ(executed, 64u);
   EXPECT_EQ(hist.TotalCount(), 1u);
+}
+
+// The artifact's config block snapshots the GOCC_* knobs that shaped the
+// run, but not GOCC_BENCH_JSON_DIR: that is where the file goes, and
+// stamping it would write a machine-specific path into committed
+// baselines.
+TEST(JsonReportTest, ConfigSnapshotsKnobsButNotOutputDir) {
+  const std::string dir = ::testing::TempDir() + "json_report_config_test";
+  ASSERT_TRUE(::mkdir(dir.c_str(), 0700) == 0 || errno == EEXIST) << dir;
+  ASSERT_EQ(::setenv("GOCC_BENCH_JSON_DIR", dir.c_str(), 1), 0);
+  ASSERT_EQ(::setenv("GOCC_CHAOS_SEED", "4242", 1), 0);
+  std::string path;
+  {
+    JsonReport report("config_block");
+    report.Config("backend", "sim");
+    path = report.path();
+  }
+  ::unsetenv("GOCC_BENCH_JSON_DIR");
+  ::unsetenv("GOCC_CHAOS_SEED");
+  EXPECT_EQ(path, dir + "/BENCH_config_block.json");
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const size_t begin = text.find("\"config\": {");
+  const size_t end = text.find('}', begin);
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
+  const std::string config = text.substr(begin, end - begin);
+  EXPECT_NE(config.find("\"backend\": \"sim\""), std::string::npos) << config;
+  EXPECT_NE(config.find("\"env.GOCC_CHAOS_SEED\": \"4242\""),
+            std::string::npos)
+      << config;
+  EXPECT_EQ(config.find("GOCC_BENCH_JSON_DIR"), std::string::npos) << config;
+  EXPECT_EQ(config.find(dir), std::string::npos) << config;
+  std::remove(path.c_str());
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace

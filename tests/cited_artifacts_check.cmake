@@ -1,13 +1,29 @@
 # Checks that every committed artifact the docs cite exists and parses:
 # each `bench/baselines/<name>.json` path in README.md, DESIGN.md and
 # EXPERIMENTS.md, with shell-style `{a,b}` lists expanded, must be a file
-# holding valid JSON. A doc that cites a baseline nobody committed fails
-# here instead of sending readers to a missing file.
+# holding exactly one valid JSON document. A doc that cites a baseline
+# nobody committed fails here instead of sending readers to a missing file.
 #
-# Usage: cmake -DREPO=<repo root> -P tests/cited_artifacts_check.cmake
+# Usage: cmake -DREPO=<repo root> [-DDOCS=<doc;...>] [-DPYTHON3=<python>]
+#              -P tests/cited_artifacts_check.cmake
+#
+# DOCS (relative to REPO) defaults to the three docs above. Parsing uses
+# Python 3's json.load, which rejects anything after the top-level value;
+# CMake's string(JSON) ignores trailing content, so it is only the fallback
+# when no interpreter is found (and the script says so).
 
 if(NOT DEFINED REPO)
   message(FATAL_ERROR "pass -DREPO=<repo root>")
+endif()
+if(NOT DEFINED DOCS)
+  set(DOCS README.md DESIGN.md EXPERIMENTS.md)
+endif()
+if(NOT PYTHON3)
+  find_program(PYTHON3 NAMES python3)
+endif()
+if(NOT PYTHON3)
+  message(WARNING "python3 not found: trailing content after a cited "
+                  "artifact's JSON document goes unchecked")
 endif()
 
 # Expands the first {a,b,...} group of `path` and recurses, appending every
@@ -34,7 +50,7 @@ function(expand_braces path out)
 endfunction()
 
 set(cited "")
-foreach(doc README.md DESIGN.md EXPERIMENTS.md)
+foreach(doc IN LISTS DOCS)
   file(READ "${REPO}/${doc}" text)
   string(REGEX MATCHALL "bench/baselines/[A-Za-z0-9_.,{}-]+\\.json" refs
          "${text}")
@@ -50,10 +66,26 @@ foreach(path IN LISTS cited)
     list(APPEND bad "${path}: missing")
     continue()
   endif()
-  file(READ "${REPO}/${path}" json)
-  string(JSON type ERROR_VARIABLE err TYPE "${json}")
-  if(NOT err STREQUAL "NOTFOUND")
-    list(APPEND bad "${path}: does not parse (${err})")
+  if(PYTHON3)
+    execute_process(
+      COMMAND "${PYTHON3}" -c
+              "import json, sys; json.load(open(sys.argv[1], encoding='utf-8'))"
+              "${REPO}/${path}"
+      RESULT_VARIABLE rc
+      OUTPUT_QUIET
+      ERROR_VARIABLE err)
+    if(NOT rc MATCHES "^[0-9]+$")
+      list(APPEND bad "${path}: cannot run ${PYTHON3} (${rc})")
+    elseif(NOT rc EQUAL 0)
+      string(REGEX REPLACE ".*\n([^\n]+)\n?$" "\\1" err "${err}")
+      list(APPEND bad "${path}: does not parse (${err})")
+    endif()
+  else()
+    file(READ "${REPO}/${path}" json)
+    string(JSON type ERROR_VARIABLE err TYPE "${json}")
+    if(NOT err STREQUAL "NOTFOUND")
+      list(APPEND bad "${path}: does not parse (${err})")
+    endif()
   endif()
 endforeach()
 

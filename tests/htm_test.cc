@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <csetjmp>
+#include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/htm/config.h"
@@ -223,7 +225,7 @@ TEST_F(HtmTest, NonTxWriteInvalidatesWritingReaderAtCommit) {
       pass = 1;
       // A "remote" strongly-atomic write to the subscribed cell (what a
       // slow-path mutex acquisition does to the subscribed lock word).
-      StripeGuardedUpdate(a.cell(), [&] {});
+      StripeGuardedUpdateAt(a.stripe(), [&] {});
     }
     TxCommit();  // first pass must fail read-set validation
     EXPECT_EQ(pass, 1);
@@ -247,7 +249,7 @@ TEST_F(HtmTest, MultiWriteCommitCatchesBumpOfReadAndWrittenStripe) {
     const int64_t seen = a.Load();
     if (pass == 0) {
       pass = 1;
-      StripeGuardedUpdate(a.cell(), [&] {});
+      StripeGuardedUpdateAt(a.stripe(), [&] {});
     }
     a.Store(seen + 1);  // `a`'s stripe is now read and written
     b.Store(seen + 1);  // two writes: the multi-write commit
@@ -314,7 +316,7 @@ TEST_F(HtmTest, ReadOnlyTxSerializesBeforeLaterRemoteWrite) {
   BeginStatus status = GOCC_TX_BEGIN(env);
   if (status.started) {
     seen = a.Load();
-    StripeGuardedUpdate(a.cell(), [&] {});  // remote write after our read
+    StripeGuardedUpdateAt(a.stripe(), [&] {});  // remote write after our read
     TxCommit();
   }
   EXPECT_TRUE(status.started);
@@ -332,7 +334,7 @@ TEST_F(HtmTest, ReadAfterRemoteBumpAbortsEagerly) {
       // A strongly-atomic remote write installs a stripe version newer than
       // our read version: the very next read of `a` must abort eagerly
       // (zombie prevention), not wait until commit.
-      StripeGuardedUpdate(a.cell(), [&] {});
+      StripeGuardedUpdateAt(a.stripe(), [&] {});
       (void)a.Load();
       ADD_FAILURE() << "load of a newer-versioned stripe did not abort";
     }
@@ -495,6 +497,92 @@ TEST_F(HtmTest, StripeHelpers) {
   uint64_t after = StripeFor(addr)->load();
   EXPECT_GT(StripeVersion(after), StripeVersion(before));
   EXPECT_FALSE(StripeIsLocked(after));
+}
+
+// --- inline stripes: every Shared cell validates against its own stripe ---
+
+static_assert(sizeof(Shared<int64_t>) == 16 && alignof(Shared<int64_t>) == 16,
+              "a Shared cell and its stripe must share one cache line");
+
+TEST_F(HtmTest, SharedCellAndStripeShareOneLine) {
+  Shared<int64_t> cells[8];
+  for (const Shared<int64_t>& c : cells) {
+    const auto cell = reinterpret_cast<uintptr_t>(c.cell());
+    const auto stripe = reinterpret_cast<uintptr_t>(c.stripe());
+    EXPECT_EQ(cell / 64, stripe / 64);
+    EXPECT_NE(cell, stripe);
+  }
+}
+
+// Each cell has exactly one stripe, so stores to other cells never abort a
+// transaction that read this one. With a hashed table, some of 10 000
+// stores would land on the read cell's stripe; they are aimed at the cells
+// that share its table entry first.
+TEST_F(HtmTest, StoresToOtherCellsNeverAbortReader) {
+  constexpr size_t kCells = size_t{1} << 16;
+  constexpr size_t kStores = 10000;
+  auto cells = std::make_unique<Shared<int64_t>[]>(kCells);
+  Shared<int64_t>& read = cells[0];
+  Shared<int64_t>& written = cells[1];
+  std::vector<Shared<int64_t>*> targets;
+  for (size_t i = 2; i < kCells; ++i) {
+    if (StripeFor(cells[i].cell()) == StripeFor(read.cell())) {
+      targets.push_back(&cells[i]);
+    }
+  }
+  for (size_t i = 2; targets.size() < kStores; ++i) {
+    targets.push_back(&cells[i]);
+  }
+  std::jmp_buf env;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  ASSERT_TRUE(status.started) << AbortCodeName(status.abort_code);
+  written.Store(read.Load() + 1);  // a writer: the commit validates `read`
+  std::thread([&] {
+    for (size_t i = 0; i < kStores; ++i) {
+      targets[i]->Store(static_cast<int64_t>(i));
+    }
+  }).join();
+  TxCommit();
+  EXPECT_EQ(written.Load(), 1);
+  EXPECT_EQ(GlobalTxStats().aborts_conflict.load(), 0u);
+}
+
+TEST_F(HtmTest, DepthZeroStoreToReadCellAbortsTransaction) {
+  Shared<int64_t> a(0);
+  Shared<int64_t> b(0);
+  std::jmp_buf env;
+  volatile int pass = 0;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  if (status.started) {
+    const int64_t seen = a.Load();
+    b.Store(seen + 1);
+    if (pass == 0) {
+      pass = 1;
+      std::thread([&] { a.Store(7); }).join();  // strongly atomic store
+    }
+    TxCommit();
+    ADD_FAILURE() << "commit after a depth-0 store to a read cell";
+  } else {
+    EXPECT_EQ(status.abort_code, AbortCode::kConflict);
+    pass = 2;
+  }
+  EXPECT_EQ(pass, 2);
+  EXPECT_EQ(a.Load(), 7);
+  EXPECT_EQ(b.Load(), 0);
+}
+
+TEST_F(HtmTest, SharedAccessesLeaveHashedStripeUntouched) {
+  Shared<int64_t> a(0);
+  const uint64_t table_before = StripeFor(a.cell())->load();
+  const uint64_t inline_before = a.stripe()->load();
+  a.Store(1);
+  a.Add(2);
+  EXPECT_EQ(RunTx([&] { a.Store(a.Load() + 3); }), 0);
+  EXPECT_EQ(RunTx([&] { a.Add(4); }), 0);
+  EXPECT_EQ(a.Load(), 10);
+  EXPECT_EQ(StripeFor(a.cell())->load(), table_before);
+  EXPECT_GT(StripeVersion(a.stripe()->load()), StripeVersion(inline_before));
+  EXPECT_FALSE(StripeIsLocked(a.stripe()->load()));
 }
 
 // Transaction size sweep: commits must succeed right up to the capacity

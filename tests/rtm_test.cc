@@ -84,6 +84,23 @@ TEST_F(RtmTest, ExplicitAbortRollsBackHardwareState) {
   GTEST_SKIP() << "could not start a transaction (all spurious aborts)";
 }
 
+TEST_F(RtmTest, TxDepthReportsOpenHardwareTransaction) {
+  EXPECT_EQ(TxDepth(), 0);
+  std::jmp_buf env;
+  for (int i = 0; i < 1000; ++i) {
+    volatile int depth = -1;
+    BeginStatus status = GOCC_TX_BEGIN(env);
+    if (status.started) {
+      depth = TxDepth();  // recorded in the transaction, checked after it
+      TxCommit();
+      EXPECT_GE(depth, 1) << "0 means no transaction";
+      EXPECT_EQ(TxDepth(), 0);
+      return;
+    }
+  }
+  GTEST_SKIP() << "could not start a transaction (all spurious aborts)";
+}
+
 TEST_F(RtmTest, OptiLockElidesOnHardware) {
   gosync::Mutex mu;
   Shared<int64_t> counter(0);

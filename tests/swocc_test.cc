@@ -405,6 +405,67 @@ TEST_F(SwOccTest, ReadYourOwnWriteInSixtyFourWriteTx) {
   }
 }
 
+// --- adds under different elided locks ---
+
+TEST_F(SwOccTest, CrossLockAddsAreNotLost) {
+  // Two threads add to one counter, each under its own mutex (fastcache's
+  // global counters are added to under per-bucket locks). sw-OCC validates
+  // only the subscribed occ words, so a buffered read-add-store would lose
+  // updates between the two episodes; the add-only write entry publishes
+  // each episode's delta with an atomic fetch_add instead. SimTM validates
+  // the counter's own stripe and is exact as well.
+  constexpr int kThreads = 2;
+  constexpr int kAddsPerThread = 100000;
+  for (const bool swocc : {true, false}) {
+    SCOPED_TRACE(swocc ? "sw-OCC" : "SimTM");
+    if (swocc) {
+      htm::ForceSwOccBackend();
+    } else {
+      htm::ForceSimBackend();
+    }
+    gosync::Mutex mu[kThreads];
+    htm::Shared<uint64_t> counter(0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        OptiLock ol;
+        for (int i = 0; i < kAddsPerThread; ++i) {
+          ol.WithLock(&mu[t], [&] { counter.Add(1); });
+        }
+      });
+    }
+    for (std::thread& th : threads) {
+      th.join();
+    }
+    EXPECT_EQ(counter.Load(), uint64_t{kThreads} * kAddsPerThread);
+  }
+  EXPECT_GT(GlobalOptiStats().fast_commits.load(), 0u)
+      << "the adds must have run elided for the check to mean anything";
+}
+
+TEST_F(SwOccTest, AddOnlyEntryPublishesDeltaUntilObserved) {
+  // An add made by another thread while our transaction holds an add-only
+  // entry survives our commit; once the transaction loads the cell, the
+  // entry is an ordinary buffered store of what it observed.
+  htm::Shared<int64_t> counter(10);
+  std::jmp_buf env;
+  htm::BeginStatus status = GOCC_TX_BEGIN(env);
+  ASSERT_TRUE(status.started) << htm::AbortCodeName(status.abort_code);
+  EXPECT_EQ(counter.Add(2), 12);
+  EXPECT_EQ(counter.Add(3), 15);
+  std::thread([&] { counter.Add(100); }).join();  // depth 0: fetch_add
+  htm::TxCommit();
+  EXPECT_EQ(counter.Load(), 115);
+
+  status = GOCC_TX_BEGIN(env);
+  ASSERT_TRUE(status.started) << htm::AbortCodeName(status.abort_code);
+  EXPECT_EQ(counter.Add(5), 120);
+  EXPECT_EQ(counter.Load(), 120);  // observed: now a plain store
+  std::thread([&] { counter.Add(100); }).join();
+  htm::TxCommit();
+  EXPECT_EQ(counter.Load(), 120) << "a load makes the entry a store";
+}
+
 // --- the invisible-read property: torn reads never survive validation ---
 
 TEST_F(SwOccTest, InvisibleReadsNeverObserveInFlightWriter) {
