@@ -51,6 +51,7 @@
 #include "src/service/router.h"
 #include "src/service/service.h"
 #include "src/support/histogram.h"
+#include "src/support/sharded.h"
 #include "src/support/strings.h"
 #include "src/support/zipf.h"
 #include "src/workloads/policy.h"
@@ -252,8 +253,8 @@ CellOut RunServiceCell(const char* mode, int shards, int threads, double rate,
             static_cast<double>(n));
       }
     }
-    auto diag = [&rec](const char* name, const std::atomic<uint64_t>& v) {
-      if (uint64_t n = v.load(std::memory_order_relaxed); n > 0) {
+    auto diag = [&rec](const char* name, const support::SlotCounter& v) {
+      if (uint64_t n = v.load(); n > 0) {
         rec.counters.emplace_back(name, static_cast<double>(n));
       }
     };

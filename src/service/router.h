@@ -33,6 +33,7 @@
 #include "src/service/service.h"
 #include "src/support/histogram.h"
 #include "src/support/rng.h"
+#include "src/support/sharded.h"
 #include "src/workloads/gocache.h"
 #include "src/workloads/policy.h"
 
@@ -102,18 +103,25 @@ class CacheService {
     return shards_[static_cast<size_t>(shard)]->CachedP99();
   }
 
-  // Test hook: feed synthetic latency samples into a shard's estimator (the
-  // admission and hedge paths read the same cached p99 real traffic would
-  // update).
+  // Test hook: feed synthetic latency samples into a shard's estimator
+  // through the calling thread's slot (the admission and hedge paths read
+  // the same cached p99 real traffic would update).
   void PrimeShardLatency(int shard, uint64_t ns, int count) {
     Shard& sh = *shards_[static_cast<size_t>(shard)];
-    sh.LockWindow();
+    LatencySlot& slot = sh.OwnSlot();
+    slot.Lock();
+    support::WindowedPercentile& window = sh.WindowOf(slot);
     for (int i = 0; i < count; ++i) {
-      sh.window.Record(ns);
+      window.Record(ns);
     }
-    sh.RefreshP99Locked();
-    sh.UnlockWindow();
+    slot.records_since_refresh = 0;
+    slot.Unlock();
+    sh.RefreshP99();
   }
+
+  // Estimator slots per shard; a thread records into slot
+  // support::ThreadSlot<kLatencySlots>().
+  static constexpr int kLatencySlots = 4;
 
   // Monotone ns since service construction.
   uint64_t NowNs() const {
@@ -124,6 +132,29 @@ class CacheService {
   }
 
  private:
+  // One thread's share of a shard's windowed latency estimator, on lines
+  // of its own: recording a sample writes only the recording thread's slot.
+  // The estimator is allocated by the first thread that records into the
+  // slot, so a service pays (and page-faults) only for the slots its
+  // threads use; null reads as "no samples".
+  struct alignas(64) LatencySlot {
+    std::atomic_flag lock = ATOMIC_FLAG_INIT;
+    int records_since_refresh = 0;
+    std::unique_ptr<support::WindowedPercentile> window;
+
+    void Lock() {
+      while (lock.test_and_set(std::memory_order_acquire)) {
+        gosync::CpuPause();
+      }
+    }
+    void Unlock() { lock.clear(std::memory_order_release); }
+  };
+
+  // Cache-line layout: a request writes its own estimator slot, its own
+  // stats slots and queue_depth (own line). cached_p99, tick and health
+  // share read-mostly lines that a request only reads; they are written
+  // when the tick moves, when a merge changes the p99, or on a health
+  // transition.
   struct Shard {
     Cache cache;
     // Replica-of-last-resort: same open-addressed shape as the cache,
@@ -131,52 +162,90 @@ class CacheService {
     // previous value of a racing write — that is the contract ("stale").
     std::atomic<uint64_t> snap_keys[Cache::kSlots] = {};
     std::atomic<int64_t> snap_vals[Cache::kSlots] = {};
-    std::atomic<int32_t> queue_depth{0};
+
+    // The admission signal: the p99 merged over every slot, and the window
+    // tick all slots have been (or are being) advanced to.
+    alignas(64) std::atomic<uint64_t> cached_p99{0};
+    std::atomic<uint64_t> tick{0};
     ShardHealth health;
 
-    // Windowed latency estimator behind a tiny spinlock; the admission
-    // fast path reads the cached p99 without touching it.
-    std::atomic_flag window_lock = ATOMIC_FLAG_INIT;
-    support::WindowedPercentile window;
-    std::atomic<uint64_t> cached_p99{0};
-    int records_since_refresh = 0;
+    alignas(64) std::atomic<int32_t> queue_depth{0};
 
-    void LockWindow() {
-      while (window_lock.test_and_set(std::memory_order_acquire)) {
-        gosync::CpuPause();
-      }
+    LatencySlot slots[kLatencySlots];
+
+    LatencySlot& OwnSlot() {
+      return slots[support::ThreadSlot<kLatencySlots>()];
     }
-    void UnlockWindow() { window_lock.clear(std::memory_order_release); }
+
+    // With slot.lock held. A new estimator starts at the shard's tick, so
+    // the next rotation ages its samples like everyone else's.
+    support::WindowedPercentile& WindowOf(LatencySlot& slot) {
+      if (slot.window == nullptr) {
+        slot.window = std::make_unique<support::WindowedPercentile>();
+        slot.window->Advance(tick.load(std::memory_order_relaxed));
+      }
+      return *slot.window;
+    }
 
     uint64_t CachedP99() const {
       return cached_p99.load(std::memory_order_relaxed);
     }
 
-    void RefreshP99Locked() {
-      cached_p99.store(window.P99(), std::memory_order_relaxed);
-      records_since_refresh = 0;
+    // Merges every slot's live windows, taking one slot lock at a time, so
+    // no caller ever holds two slot locks. The store is skipped when the
+    // estimate has not moved, which keeps the line clean for readers.
+    void RefreshP99() {
+      support::LatencyHistogram merged;
+      for (LatencySlot& slot : slots) {
+        slot.Lock();
+        if (slot.window != nullptr) {
+          slot.window->MergeInto(&merged);
+        }
+        slot.Unlock();
+      }
+      const uint64_t p99 = merged.P99();
+      if (cached_p99.load(std::memory_order_relaxed) != p99) {
+        cached_p99.store(p99, std::memory_order_relaxed);
+      }
     }
 
-    void AdvanceWindow(uint64_t tick) {
-      if (tick <= window.LastTick()) {
-        return;  // racy pre-check; Advance re-validates under the lock
+    // The thread whose CAS claims a newer tick rotates every slot to it,
+    // then refreshes the merged p99. A slow claimer whose tick was
+    // overtaken is harmless: WindowedPercentile::Advance ignores ticks at
+    // or before the slot's own.
+    void AdvanceWindow(uint64_t now_tick) {
+      uint64_t seen = tick.load(std::memory_order_relaxed);
+      do {
+        if (now_tick <= seen) {
+          return;
+        }
+      } while (!tick.compare_exchange_weak(seen, now_tick,
+                                           std::memory_order_relaxed));
+      for (LatencySlot& slot : slots) {
+        slot.Lock();
+        if (slot.window != nullptr) {
+          slot.window->Advance(now_tick);
+        }
+        slot.Unlock();
       }
-      LockWindow();
-      if (window.Advance(tick)) {
-        RefreshP99Locked();
-      }
-      UnlockWindow();
+      RefreshP99();
     }
 
     void RecordLatency(uint64_t ns) {
-      LockWindow();
-      window.Record(ns);
-      // Refresh the cached estimate periodically between ticks so a storm
-      // inside one window still raises the signal admission reads.
-      if (++records_since_refresh >= 128) {
-        RefreshP99Locked();
+      LatencySlot& slot = OwnSlot();
+      slot.Lock();
+      WindowOf(slot).Record(ns);
+      // Refresh the merged estimate periodically between ticks so a storm
+      // inside one window still raises the signal admission reads. The
+      // merge takes every slot lock in turn, so release this one first.
+      const bool refresh = ++slot.records_since_refresh >= 128;
+      if (refresh) {
+        slot.records_since_refresh = 0;
       }
-      UnlockWindow();
+      slot.Unlock();
+      if (refresh) {
+        RefreshP99();
+      }
     }
 
     void SnapshotSet(uint64_t key, int64_t value) {
@@ -251,7 +320,7 @@ class CacheService {
     if (sh.health.State() == ShardState::kQuarantined) {
       if (sh.health.TryClaimProbe()) {
         probe = true;
-        stats_.probes_admitted.fetch_add(1, std::memory_order_relaxed);
+        stats_.probes_admitted.fetch_add(1);
       } else if (is_write) {
         stats_.Bump(Outcome::kRejectedQuarantine);
         res.outcome = Outcome::kRejectedQuarantine;
@@ -263,7 +332,7 @@ class CacheService {
         if (sh.SnapshotGet(key, &res.value)) {
           res.outcome = Outcome::kOk;
           stats_.Bump(Outcome::kOk);
-          stats_.stale_reads.fetch_add(1, std::memory_order_relaxed);
+          stats_.stale_reads.fetch_add(1);
         } else {
           res.outcome = Outcome::kMiss;
           stats_.Bump(Outcome::kMiss);
@@ -300,11 +369,11 @@ class CacheService {
     if (!is_write && !probe && cfg_.hedge_us != 0 &&
         p99 > cfg_.hedge_us * 1000) {
       res.hedged = true;
-      stats_.hedges_fired.fetch_add(1, std::memory_order_relaxed);
+      stats_.hedges_fired.fetch_add(1);
       hedge_hit = sh.SnapshotGet(key, &hedge_val);
       if (hedge_hit && deadline != ~uint64_t{0} && NowNs() + p99 > deadline) {
-        stats_.hedges_won.fetch_add(1, std::memory_order_relaxed);
-        stats_.stale_reads.fetch_add(1, std::memory_order_relaxed);
+        stats_.hedges_won.fetch_add(1);
+        stats_.stale_reads.fetch_add(1);
         stats_.Bump(Outcome::kOk);
         res.outcome = Outcome::kOk;
         res.value = hedge_val;
@@ -318,7 +387,7 @@ class CacheService {
     // work for a response nobody reads.
     if (NowNs() >= deadline) {
       stats_.Bump(Outcome::kShedDeadline);
-      stats_.deadline_in_shard.fetch_add(1, std::memory_order_relaxed);
+      stats_.deadline_in_shard.fetch_add(1);
       res.outcome = Outcome::kShedDeadline;
       return res;
     }
@@ -331,8 +400,8 @@ class CacheService {
       if (hedge_hit) {
         // The hedge already has an answer; the primary's death is invisible
         // to the caller (that is the point of hedging).
-        stats_.hedges_won.fetch_add(1, std::memory_order_relaxed);
-        stats_.stale_reads.fetch_add(1, std::memory_order_relaxed);
+        stats_.hedges_won.fetch_add(1);
+        stats_.stale_reads.fetch_add(1);
         stats_.Bump(Outcome::kOk);
         res.outcome = Outcome::kOk;
         res.value = hedge_val;
@@ -369,7 +438,7 @@ class CacheService {
     }
     if (hit) {
       if (hedge_hit) {
-        stats_.hedge_duplicates.fetch_add(1, std::memory_order_relaxed);
+        stats_.hedge_duplicates.fetch_add(1);
       }
       stats_.Bump(Outcome::kOk);
       res.outcome = Outcome::kOk;
@@ -379,8 +448,8 @@ class CacheService {
     if (hedge_hit) {
       // Fresh lookup missed (expired/evicted) but the last-resort replica
       // still remembers: the hedge answer wins.
-      stats_.hedges_won.fetch_add(1, std::memory_order_relaxed);
-      stats_.stale_reads.fetch_add(1, std::memory_order_relaxed);
+      stats_.hedges_won.fetch_add(1);
+      stats_.stale_reads.fetch_add(1);
       stats_.Bump(Outcome::kOk);
       res.outcome = Outcome::kOk;
       res.value = hedge_val;

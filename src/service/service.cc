@@ -9,15 +9,13 @@
 
 namespace gocc::service {
 
-// Deterministic per-thread jitter streams, ordinals handed out in spawn
-// order (the same compromise the fault injector documents: cross-thread
-// interleaving is scheduler-dependent, each thread's stream is exact).
+// Deterministic per-thread jitter streams, keyed by the thread's ordinal
+// (support::ThreadOrdinal, handed out in first-use order; the same
+// compromise the fault injector documents: cross-thread interleaving is
+// scheduler-dependent, each thread's stream is exact).
 uint64_t RetryAfterJitterNs(const ServiceConfig& cfg) {
-  static std::atomic<uint64_t> next_ordinal{0};
   thread_local SplitMix64 rng(
-      cfg.seed ^
-      SplitMix64(next_ordinal.fetch_add(1, std::memory_order_relaxed) + 1)
-          .Next());
+      cfg.seed ^ SplitMix64(uint64_t{support::ThreadOrdinal()} + 1).Next());
   const uint64_t base = cfg.retry_after_us * 1000;
   return base + rng.NextBelow(base == 0 ? 1 : base);
 }
@@ -89,7 +87,7 @@ const char* ShardStateName(ShardState s) {
 uint64_t ServiceStats::TotalOutcomes() const {
   uint64_t total = 0;
   for (const auto& o : outcomes) {
-    total += o.load(std::memory_order_relaxed);
+    total += o.load();
   }
   return total;
 }
@@ -106,7 +104,7 @@ bool ServiceStats::ConservationHolds(uint64_t issued, std::string* why) const {
     return false;
   }
   const uint64_t ok = Count(Outcome::kOk);
-  const uint64_t stale = stale_reads.load(std::memory_order_relaxed);
+  const uint64_t stale = stale_reads.load();
   if (stale > ok) {
     if (why != nullptr) {
       *why = StrFormat("stale_reads %llu > ok %llu",
@@ -115,9 +113,9 @@ bool ServiceStats::ConservationHolds(uint64_t issued, std::string* why) const {
     }
     return false;
   }
-  const uint64_t fired = hedges_fired.load(std::memory_order_relaxed);
-  const uint64_t won = hedges_won.load(std::memory_order_relaxed);
-  const uint64_t dup = hedge_duplicates.load(std::memory_order_relaxed);
+  const uint64_t fired = hedges_fired.load();
+  const uint64_t won = hedges_won.load();
+  const uint64_t dup = hedge_duplicates.load();
   if (won + dup > fired) {
     if (why != nullptr) {
       *why = StrFormat(
@@ -133,54 +131,33 @@ bool ServiceStats::ConservationHolds(uint64_t issued, std::string* why) const {
 
 void ServiceStats::Reset() {
   for (auto& o : outcomes) {
-    o.store(0, std::memory_order_relaxed);
+    o.Reset();
   }
-  stale_reads.store(0, std::memory_order_relaxed);
-  hedges_fired.store(0, std::memory_order_relaxed);
-  hedges_won.store(0, std::memory_order_relaxed);
-  hedge_duplicates.store(0, std::memory_order_relaxed);
-  deadline_in_shard.store(0, std::memory_order_relaxed);
-  degrades.store(0, std::memory_order_relaxed);
-  quarantines.store(0, std::memory_order_relaxed);
-  recoveries.store(0, std::memory_order_relaxed);
-  probes_admitted.store(0, std::memory_order_relaxed);
-  breaker_escalations.store(0, std::memory_order_relaxed);
-  shard_failures.store(0, std::memory_order_relaxed);
+  for (support::SlotCounter* c :
+       {&stale_reads, &hedges_fired, &hedges_won, &hedge_duplicates,
+        &deadline_in_shard, &degrades, &quarantines, &recoveries,
+        &probes_admitted, &breaker_escalations, &shard_failures}) {
+    c->Reset();
+  }
 }
 
 std::string ServiceStats::ToString() const {
+  auto n = [](const support::SlotCounter& c) {
+    return static_cast<unsigned long long>(c.load());
+  };
   std::string out = "svc{";
   for (int i = 0; i < kNumOutcomes; ++i) {
-    out += StrFormat(
-        "%s%s=%llu", i == 0 ? "" : " ", OutcomeName(static_cast<Outcome>(i)),
-        static_cast<unsigned long long>(
-            outcomes[i].load(std::memory_order_relaxed)));
+    out += StrFormat("%s%s=%llu", i == 0 ? "" : " ",
+                     OutcomeName(static_cast<Outcome>(i)), n(outcomes[i]));
   }
-  out += StrFormat(
-      " stale=%llu hedges{fired=%llu won=%llu dup=%llu}",
-      static_cast<unsigned long long>(
-          stale_reads.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          hedges_fired.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          hedges_won.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          hedge_duplicates.load(std::memory_order_relaxed)));
+  out += StrFormat(" stale=%llu hedges{fired=%llu won=%llu dup=%llu}",
+                   n(stale_reads), n(hedges_fired), n(hedges_won),
+                   n(hedge_duplicates));
   out += StrFormat(
       " health{degrades=%llu quarantines=%llu recoveries=%llu probes=%llu "
       "breaker=%llu failures=%llu}}",
-      static_cast<unsigned long long>(
-          degrades.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          quarantines.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          recoveries.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          probes_admitted.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          breaker_escalations.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          shard_failures.load(std::memory_order_relaxed)));
+      n(degrades), n(quarantines), n(recoveries), n(probes_admitted),
+      n(breaker_escalations), n(shard_failures));
   return out;
 }
 
@@ -195,7 +172,7 @@ void ShardHealth::Escalate(std::unique_lock<std::mutex>& held) {
                  std::memory_order_relaxed);
     trips_ = 0;
     if (stats_ != nullptr) {
-      stats_->degrades.fetch_add(1, std::memory_order_relaxed);
+      stats_->degrades.fetch_add(1);
     }
   } else if (state == ShardState::kDegraded &&
              trips_ >= cfg_->quarantine_trips) {
@@ -207,7 +184,7 @@ void ShardHealth::Escalate(std::unique_lock<std::mutex>& held) {
     // would flap instead of backing off.
     probe_gate_.Defer();
     if (stats_ != nullptr) {
-      stats_->quarantines.fetch_add(1, std::memory_order_relaxed);
+      stats_->quarantines.fetch_add(1);
     }
   }
   // Already quarantined: stay there; the probe gate owns recovery.
@@ -216,7 +193,7 @@ void ShardHealth::Escalate(std::unique_lock<std::mutex>& held) {
 void ShardHealth::OnBreakerTrip() {
   std::unique_lock<std::mutex> lock(mu_);
   if (stats_ != nullptr) {
-    stats_->breaker_escalations.fetch_add(1, std::memory_order_relaxed);
+    stats_->breaker_escalations.fetch_add(1);
   }
   Escalate(lock);
 }
@@ -224,7 +201,7 @@ void ShardHealth::OnBreakerTrip() {
 void ShardHealth::OnFailure() {
   std::unique_lock<std::mutex> lock(mu_);
   if (stats_ != nullptr) {
-    stats_->shard_failures.fetch_add(1, std::memory_order_relaxed);
+    stats_->shard_failures.fetch_add(1);
   }
   Escalate(lock);
 }
@@ -248,7 +225,7 @@ void ShardHealth::OnSuccess() {
     state_.store(static_cast<int>(ShardState::kDegraded),
                  std::memory_order_relaxed);
     if (stats_ != nullptr) {
-      stats_->recoveries.fetch_add(1, std::memory_order_relaxed);
+      stats_->recoveries.fetch_add(1);
     }
   } else {
     state_.store(static_cast<int>(ShardState::kHealthy),

@@ -35,6 +35,7 @@
 #include <string>
 
 #include "src/support/reprobe.h"
+#include "src/support/sharded.h"
 
 namespace gocc::service {
 
@@ -111,30 +112,33 @@ struct RequestResult {
 // Service-level counters. Outcome slots form a conservation identity the
 // chaos tests assert: sum(outcomes) == requests issued, no matter what the
 // injector does. The rest are diagnostic (subsets, not partitions).
+//
+// Every request bumps one outcome, so each counter is striped per thread
+// (support::SlotCounter): a request writes only its own thread's slot,
+// never a line every worker shares. Reads sum the slots.
 struct ServiceStats {
-  std::atomic<uint64_t> outcomes[kNumOutcomes] = {};
-  std::atomic<uint64_t> stale_reads{0};        // subset of kOk
-  std::atomic<uint64_t> hedges_fired{0};
-  std::atomic<uint64_t> hedges_won{0};         // hedge answer was returned
-  std::atomic<uint64_t> hedge_duplicates{0};   // primary won; hedge dropped
-  std::atomic<uint64_t> deadline_in_shard{0};  // shed at the pre-lock check
-  std::atomic<uint64_t> degrades{0};
-  std::atomic<uint64_t> quarantines{0};
-  std::atomic<uint64_t> recoveries{0};         // quarantined → degraded
-  std::atomic<uint64_t> probes_admitted{0};
-  std::atomic<uint64_t> breaker_escalations{0};
-  std::atomic<uint64_t> shard_failures{0};     // injected/storm failures
+  support::SlotCounter outcomes[kNumOutcomes];
+  support::SlotCounter stale_reads;        // subset of kOk
+  support::SlotCounter hedges_fired;
+  support::SlotCounter hedges_won;         // hedge answer was returned
+  support::SlotCounter hedge_duplicates;   // primary won; hedge dropped
+  support::SlotCounter deadline_in_shard;  // shed at the pre-lock check
+  support::SlotCounter degrades;
+  support::SlotCounter quarantines;
+  support::SlotCounter recoveries;         // quarantined → degraded
+  support::SlotCounter probes_admitted;
+  support::SlotCounter breaker_escalations;
+  support::SlotCounter shard_failures;     // injected/storm failures
 
-  void Bump(Outcome o) {
-    outcomes[static_cast<int>(o)].fetch_add(1, std::memory_order_relaxed);
-  }
+  void Bump(Outcome o) { outcomes[static_cast<int>(o)].fetch_add(1); }
   uint64_t Count(Outcome o) const {
-    return outcomes[static_cast<int>(o)].load(std::memory_order_relaxed);
+    return outcomes[static_cast<int>(o)].load();
   }
   uint64_t TotalOutcomes() const;
   // Verifies the conservation identity and the subset inequalities;
   // explains the first violation in *why.
   bool ConservationHolds(uint64_t issued, std::string* why) const;
+  // Zeroes every slot of every counter; exact at writer quiescence.
   void Reset();
   std::string ToString() const;
 };

@@ -41,6 +41,15 @@ class LatencyHistogram {
     total_ += other.total_;
   }
 
+  // Undoes an earlier Merge(other): every count in `other` must also be
+  // counted here.
+  void Subtract(const LatencyHistogram& other) {
+    for (int i = 0; i < kNumBuckets; ++i) {
+      counts_[i] -= other.counts_[i];
+    }
+    total_ -= other.total_;
+  }
+
   uint64_t TotalCount() const { return total_; }
 
   // Value at quantile q in [0, 1]: the representative (midpoint) value of
@@ -111,8 +120,8 @@ class LatencyHistogram {
 // slow once its fat samples age out.
 //
 // Like LatencyHistogram, instances are NOT thread-safe; the service layer
-// guards each shard's estimator with a short spinlock because admission
-// reads and latency records race by design.
+// splits each shard's estimator into per-thread slots, each behind its own
+// short spinlock, and merges them (MergeInto) for the admission signal.
 class WindowedPercentile {
  public:
   static constexpr int kWindows = 4;
@@ -123,6 +132,7 @@ class WindowedPercentile {
     for (auto& w : windows_) {
       w.Reset();
     }
+    live_.Reset();
     current_ = 0;
     last_tick_ = 0;
   }
@@ -141,39 +151,40 @@ class WindowedPercentile {
     }
     for (uint64_t i = 0; i < steps; ++i) {
       current_ = (current_ + 1) % kWindows;
+      live_.Subtract(windows_[current_]);
       windows_[current_].Reset();
     }
     last_tick_ = tick;
     return true;
   }
 
-  void Record(uint64_t ns) { windows_[current_].Record(ns); }
+  void Record(uint64_t ns) {
+    windows_[current_].Record(ns);
+    live_.Record(ns);
+  }
 
   uint64_t LastTick() const { return last_tick_; }
 
-  uint64_t TotalCount() const {
-    uint64_t total = 0;
-    for (const auto& w : windows_) {
-      total += w.TotalCount();
-    }
-    return total;
+  uint64_t TotalCount() const { return live_.TotalCount(); }
+
+  // Quantile over the live windows. Returns 0 when every window is empty —
+  // callers treat "no data" as "no shedding signal".
+  uint64_t ValueAtQuantile(double q) const {
+    return live_.ValueAtQuantile(q);
   }
 
-  // Quantile over the merged live windows. Returns 0 when every window is
-  // empty — callers treat "no data" as "no shedding signal".
-  uint64_t ValueAtQuantile(double q) const {
-    LatencyHistogram merged;
-    for (const auto& w : windows_) {
-      merged.Merge(w);
-    }
-    return merged.ValueAtQuantile(q);
-  }
+  // Adds the live windows into *out, so several estimators advanced to the
+  // same tick can answer one quantile query together.
+  void MergeInto(LatencyHistogram* out) const { out->Merge(live_); }
 
   uint64_t P50() const { return ValueAtQuantile(0.50); }
   uint64_t P99() const { return ValueAtQuantile(0.99); }
 
  private:
   LatencyHistogram windows_[kWindows];
+  // Sum of windows_, kept up to date by Record and Advance, so a quantile
+  // query or a merge reads one histogram instead of kWindows.
+  LatencyHistogram live_;
   int current_ = 0;
   uint64_t last_tick_ = 0;
 };

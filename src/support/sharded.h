@@ -1,4 +1,6 @@
-// Per-thread sharded statistics counters.
+// Per-thread sharded statistics counters, and the per-thread slot index
+// that per-instance striped state (SlotCounter, the service's latency
+// slots) shares.
 //
 // The runtime's observability counters (optilib::OptiStats, htm::TxStats)
 // are bumped on the episode fast path. As single global atomics they cost a
@@ -48,6 +50,67 @@
 #include <vector>
 
 namespace gocc::support {
+
+// This thread's ordinal: taken once, on first use, from a process-wide
+// counter, so threads started together get consecutive ordinals.
+inline uint32_t ThreadOrdinal() {
+  static std::atomic<uint32_t> next{0};
+  // Ordinal + 1, 0 while unassigned: constant-initialized, so the hot path
+  // has no TLS init guard.
+  thread_local uint32_t biased = 0;
+  if (biased == 0) [[unlikely]] {
+    biased = next.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+  return biased - 1;
+}
+
+// The slot this thread writes in an object striped over kSlots padded
+// slots. Up to kSlots threads started together land in distinct slots;
+// past that they share one, which the writers tolerate (atomic RMWs or a
+// per-slot lock), so sharing costs a contended line, never a lost update.
+// Unlike ShardedCounters this needs no registration and no cap on the
+// number of objects: tests and benches build many services.
+template <int kSlots>
+int ThreadSlot() {
+  static_assert(kSlots > 0);
+  return static_cast<int>(ThreadOrdinal() % kSlots);
+}
+
+// A counter striped over kSlots 64-byte slots: fetch_add is a relaxed RMW
+// on the calling thread's slot, so threads in distinct slots never write
+// a shared line; load() sums the slots (approximately consistent while
+// writers run, exact at quiescence). fetch_add and load are named as on
+// std::atomic, so call sites read like plain atomic counters.
+class SlotCounter {
+ public:
+  static constexpr int kSlots = 8;
+
+  void fetch_add(uint64_t delta) {
+    slots_[ThreadSlot<kSlots>()].value.fetch_add(delta,
+                                                 std::memory_order_relaxed);
+  }
+
+  uint64_t load() const {
+    uint64_t total = 0;
+    for (const Slot& s : slots_) {
+      total += s.value.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+  // Zeroes every slot; exact at writer quiescence.
+  void Reset() {
+    for (Slot& s : slots_) {
+      s.value.store(0, std::memory_order_relaxed);
+    }
+  }
+
+ private:
+  struct alignas(64) Slot {
+    std::atomic<uint64_t> value{0};
+  };
+  Slot slots_[kSlots];
+};
 
 class ShardedCounters {
  public:

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -29,6 +30,7 @@
 #include "src/optilib/optilock.h"
 #include "src/service/router.h"
 #include "src/service/service.h"
+#include "src/support/sharded.h"
 #include "src/workloads/policy.h"
 
 namespace gocc::service {
@@ -138,6 +140,62 @@ TEST_F(ServiceTest, ConservationOracleDetectsImbalance) {
   EXPECT_NE(why.find("stale"), std::string::npos);
 }
 
+// Counters are striped per thread (support::SlotCounter). Three times as
+// many threads as slots force every slot to be shared; fetch_add keeps the
+// shared slots exact, and every read path sums all of them.
+TEST_F(ServiceTest, CountersStayExactWhenThreadsShareSlots) {
+  constexpr int kThreads = 3 * support::SlotCounter::kSlots;
+  constexpr uint64_t kPerOutcome = 2000;
+  ServiceStats stats;
+  std::mutex mu;
+  std::set<int> slots_used;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        slots_used.insert(support::ThreadSlot<support::SlotCounter::kSlots>());
+      }
+      for (uint64_t i = 0; i < kPerOutcome; ++i) {
+        for (int o = 0; o < kNumOutcomes; ++o) {
+          stats.Bump(static_cast<Outcome>(o));
+        }
+        stats.hedges_fired.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  ASSERT_EQ(slots_used.size(), static_cast<size_t>(support::SlotCounter::kSlots))
+      << "threads started together must cover every slot";
+
+  const uint64_t per = kThreads * kPerOutcome;
+  const uint64_t issued = per * kNumOutcomes;
+  std::string why;
+  EXPECT_TRUE(stats.ConservationHolds(issued, &why)) << why;
+  EXPECT_EQ(stats.TotalOutcomes(), issued);
+  EXPECT_EQ(stats.hedges_fired.load(), per);
+  const std::string text = stats.ToString();
+  for (int o = 0; o < kNumOutcomes; ++o) {
+    const auto outcome = static_cast<Outcome>(o);
+    EXPECT_EQ(stats.Count(outcome), per) << OutcomeName(outcome);
+    EXPECT_NE(text.find(std::string(OutcomeName(outcome)) + "=" +
+                        std::to_string(per)),
+              std::string::npos)
+        << text;
+  }
+
+  // Every slot holds counts now, so a Reset that missed one shows up.
+  stats.Reset();
+  EXPECT_EQ(stats.TotalOutcomes(), 0u);
+  EXPECT_EQ(stats.hedges_fired.load(), 0u);
+  for (int o = 0; o < kNumOutcomes; ++o) {
+    EXPECT_EQ(stats.Count(static_cast<Outcome>(o)), 0u);
+  }
+  EXPECT_TRUE(stats.ConservationHolds(0, &why)) << why;
+}
+
 TEST_F(ServiceTest, BlownBudgetShedsBeforeTheShardLock) {
   ServiceConfig cfg = TestConfig();
   cfg.deadline_us = 1000;  // 1 ms budget
@@ -193,6 +251,41 @@ TEST_F(ServiceTest, WindowedP99BreachShedsWithJitteredRetryAfter) {
   EXPECT_NE(svc.Get(other_key).outcome, Outcome::kShedOverload);
 }
 
+// Latency a thread records lands in its own estimator slot; the merged p99
+// must still reach admission on every other thread. The other thread's own
+// refresh (fast samples in its slot) must not mask the slow slot.
+TEST_F(ServiceTest, LatencyRecordedOnOneThreadShedsAnotherThreadsGet) {
+  constexpr int kSlots = PessimisticService::kLatencySlots;
+  ServiceConfig cfg = TestConfig();
+  cfg.p99_shed_us = 1000;  // shed above 1 ms
+  PessimisticService svc(cfg);
+  svc.Set(1, 11);
+  const int shard = svc.ShardFor(1);
+  const int own_slot = support::ThreadSlot<kSlots>();
+
+  // Record 10 ms samples from a thread in a different slot (consecutive
+  // thread ordinals cycle through the slots, so a few tries suffice).
+  bool recorded = false;
+  for (int attempt = 0; attempt < kSlots && !recorded; ++attempt) {
+    std::thread([&] {
+      if (support::ThreadSlot<kSlots>() != own_slot) {
+        svc.PrimeShardLatency(shard, 10'000'000, 256);
+        recorded = true;
+      }
+    }).join();
+  }
+  ASSERT_TRUE(recorded) << "no thread landed outside the main thread's slot";
+
+  // Fast samples in this thread's slot; its merge reads every slot.
+  svc.PrimeShardLatency(shard, 1000, 128);
+  EXPECT_GT(svc.WindowP99(shard), cfg.p99_shed_us * 1000);
+  RequestResult r = svc.Get(1);
+  EXPECT_EQ(r.outcome, Outcome::kShedOverload);
+  EXPECT_GE(r.retry_after_ns, cfg.retry_after_us * 1000);
+  std::string why;
+  EXPECT_TRUE(svc.stats().ConservationHolds(2, &why)) << why;
+}
+
 TEST_F(ServiceTest, WindowedP99DecaysAcrossTicks) {
   ServiceConfig cfg = TestConfig();
   cfg.p99_shed_us = 1000;
@@ -200,17 +293,70 @@ TEST_F(ServiceTest, WindowedP99DecaysAcrossTicks) {
   PessimisticService svc(cfg);
   svc.Set(1, 11);
   const int shard = svc.ShardFor(1);
+  // Slow samples from this thread and from one thread per estimator slot,
+  // so every slot holds a tail that must age out.
   svc.PrimeShardLatency(shard, 10'000'000, 256);
+  for (int t = 0; t < PessimisticService::kLatencySlots; ++t) {
+    std::thread([&] { svc.PrimeShardLatency(shard, 10'000'000, 256); })
+        .join();
+  }
   EXPECT_GT(svc.WindowP99(shard), cfg.p99_shed_us * 1000);
 
   // Sleep past every live window (kWindows ticks); the next request's
-  // window advance clears the stale tail and is admitted.
+  // window advance clears the stale tail in every slot and is admitted.
   std::this_thread::sleep_for(std::chrono::milliseconds(
       (support::WindowedPercentile::kWindows + 16)));
   RequestResult r = svc.Get(1);
   EXPECT_EQ(r.outcome, Outcome::kOk);
   EXPECT_EQ(svc.WindowP99(shard), 0u)
       << "aged-out samples must stop feeding the admission signal";
+}
+
+// Four threads on one shard with a 100 us tick: tick claims, slot
+// rotations, merges and records all interleave. Every request must still
+// land in exactly one outcome, and under TSan (the service-tsan test
+// preset) no access to the tick or a slot may race.
+TEST_F(ServiceTest, ConcurrentTickAdvanceConservesEveryRequest) {
+  constexpr int kThreads = 4;
+  constexpr int kKeys = 16;
+  ServiceConfig cfg = TestConfig();
+  cfg.window_tick_us = 100;
+  ElidedService svc(cfg);
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 1; static_cast<int>(keys.size()) < kKeys; ++k) {
+    k = KeyForShard(svc, 2, k);
+    keys.push_back(k);
+    ASSERT_EQ(svc.Set(k, static_cast<int64_t>(k)).outcome, Outcome::kOk);
+  }
+  svc.stats().Reset();
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> issued{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      SplitMix64 rng(seed_ * 0x9e37 + static_cast<uint64_t>(t));
+      uint64_t sent = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const uint64_t key = keys[rng.NextBelow(kKeys)];
+        RequestResult r = rng.NextBool(0.1)
+                              ? svc.Set(key, static_cast<int64_t>(key))
+                              : svc.Get(key);
+        EXPECT_EQ(r.outcome, Outcome::kOk);
+        ++sent;
+      }
+      issued.fetch_add(sent);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  stop.store(true);
+  for (auto& th : threads) {
+    th.join();
+  }
+  std::string why;
+  EXPECT_GT(issued.load(), 0u);
+  EXPECT_TRUE(svc.stats().ConservationHolds(issued.load(), &why)) << why;
+  EXPECT_EQ(svc.stats().Count(Outcome::kOk), issued.load());
 }
 
 TEST_F(ServiceTest, QueueDepthLimitShedsWhileShardIsStalled) {
