@@ -50,7 +50,10 @@ std::function<void(gopool::PB&)> SetBody() {
   return [cache](gopool::PB& pb) {
     uint64_t k = 0;
     while (pb.Next()) {
-      cache->Set((k++ % 128) + 1, static_cast<int64_t>(k));
+      const uint64_t key = (k % 128) + 1;
+      const int64_t value = static_cast<int64_t>(k);
+      ++k;
+      cache->Set(key, value);
     }
   };
 }

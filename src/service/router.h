@@ -95,6 +95,9 @@ class CacheService {
   Cache& cache(int shard) {
     return shards_[static_cast<size_t>(shard)]->cache;
   }
+  // Requests counted in the shard's critical section (lock wait included).
+  // Reads 0 while the depth gate is closed: depth is counted only while
+  // LiveCallers() exceeds queue_limit, the only time the limit can fire.
   int32_t QueueDepth(int shard) const {
     return shards_[static_cast<size_t>(shard)]->queue_depth.load(
         std::memory_order_relaxed);
@@ -150,11 +153,11 @@ class CacheService {
     void Unlock() { lock.clear(std::memory_order_release); }
   };
 
-  // Cache-line layout: a request writes its own estimator slot, its own
-  // stats slots and queue_depth (own line). cached_p99, tick and health
-  // share read-mostly lines that a request only reads; they are written
-  // when the tick moves, when a merge changes the p99, or on a health
-  // transition.
+  // Cache-line layout: a request writes its own estimator slot and its own
+  // stats slots; queue_depth (own line) only while the depth gate is open.
+  // cached_p99, tick and health share read-mostly lines that a request only
+  // reads; they are written when the tick moves, when a merge changes the
+  // p99, or on a health transition.
   struct Shard {
     Cache cache;
     // Replica-of-last-resort: same open-addressed shape as the cache,
@@ -303,6 +306,12 @@ class CacheService {
                       uint64_t elapsed_ns) {
     RequestResult res;
     const uint64_t start = NowNs();
+    // Depth gate: every other request in a shard runs on another live
+    // caller, so while LiveCallers() <= queue_limit the depth check cannot
+    // fire and the request skips queue_depth entirely. `>` because the
+    // depth a request reads does not include itself.
+    const bool count_depth =
+        NoteCaller() > cfg_.queue_limit && cfg_.queue_limit != 0;
     const uint64_t deadline =
         cfg_.deadline_us == 0
             ? ~uint64_t{0}
@@ -346,9 +355,8 @@ class CacheService {
     // Admission control (probes bypass: they exist to test the shard).
     if (!probe) {
       const bool queue_full =
-          cfg_.queue_limit != 0 &&
-          sh.queue_depth.load(std::memory_order_relaxed) >=
-              static_cast<int32_t>(cfg_.queue_limit);
+          count_depth && sh.queue_depth.load(std::memory_order_relaxed) >=
+                             static_cast<int32_t>(cfg_.queue_limit);
       const bool p99_breach =
           cfg_.p99_shed_us != 0 && p99 > cfg_.p99_shed_us * 1000;
       if (queue_full || p99_breach) {
@@ -413,8 +421,12 @@ class CacheService {
       return res;
     }
 
-    // Primary: the shard critical section.
-    sh.queue_depth.fetch_add(1, std::memory_order_relaxed);
+    // Primary: the shard critical section. The decrement is keyed on the
+    // same local bool, so every increment is matched even if the gate
+    // closes in between.
+    if (count_depth) {
+      sh.queue_depth.fetch_add(1, std::memory_order_relaxed);
+    }
     bool hit = false;
     int64_t value_out = 0;
     if (is_write) {
@@ -423,7 +435,9 @@ class CacheService {
     } else {
       hit = sh.cache.Get(key, static_cast<int64_t>(start), &value_out);
     }
-    sh.queue_depth.fetch_sub(1, std::memory_order_relaxed);
+    if (count_depth) {
+      sh.queue_depth.fetch_sub(1, std::memory_order_relaxed);
+    }
     sh.RecordLatency(NowNs() - start);
     sh.health.OnSuccess();
 

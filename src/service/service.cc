@@ -20,6 +20,23 @@ uint64_t RetryAfterJitterNs(const ServiceConfig& cfg) {
   return base + rng.NextBelow(base == 0 ? 1 : base);
 }
 
+namespace internal {
+namespace {
+struct CallerGuard {
+  CallerGuard() {
+    g_live_callers.value.fetch_add(1, std::memory_order_relaxed);
+  }
+  ~CallerGuard() {
+    g_live_callers.value.fetch_sub(1, std::memory_order_relaxed);
+  }
+  CallerGuard(const CallerGuard&) = delete;
+  CallerGuard& operator=(const CallerGuard&) = delete;
+};
+}  // namespace
+
+void RegisterCaller() { thread_local CallerGuard guard; }
+}  // namespace internal
+
 const ServiceConfig& DefaultConfig() {
   static const ServiceConfig latched = [] {
     ServiceConfig cfg;

@@ -214,6 +214,43 @@ class ShardHealth {
 // shed to dissolve.
 uint64_t RetryAfterJitterNs(const ServiceConfig& cfg);
 
+// --- live callers (service.cc) ---
+//
+// Route runs on the calling thread, so a shard can never have more requests
+// in flight than there are live threads calling the service. The router
+// uses that bound to count a shard's depth only while queue_limit can be
+// reached (DESIGN.md §4.14, admission step 4).
+
+namespace internal {
+// On a line of its own: every request reads it, so no write to a neighbour
+// may invalidate it.
+struct alignas(64) LiveCallerCount {
+  std::atomic<uint32_t> value{0};
+};
+inline constinit LiveCallerCount g_live_callers;
+// Cold path of NoteCaller: arms a thread-exit guard that holds one unit of
+// g_live_callers for the calling thread's lifetime.
+void RegisterCaller();
+}  // namespace internal
+
+// Threads that have called a service and not yet exited.
+inline uint32_t LiveCallers() {
+  return internal::g_live_callers.value.load(std::memory_order_relaxed);
+}
+
+// Counts the calling thread as a live caller from its first request until
+// it exits (one relaxed RMW each way per thread lifetime, none per
+// request), then returns LiveCallers().
+inline uint32_t NoteCaller() {
+  // Constant-initialized: the per-request check has no TLS init guard.
+  thread_local bool registered = false;
+  if (!registered) [[unlikely]] {
+    registered = true;
+    internal::RegisterCaller();
+  }
+  return LiveCallers();
+}
+
 // --- breaker escalation bridge (service.cc) ---
 //
 // The router registers each shard's mutex here; a single process-wide

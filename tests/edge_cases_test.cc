@@ -91,6 +91,19 @@ TEST_F(EdgeCaseTest, EmptyCriticalSectionElides) {
   EXPECT_FALSE(mu.IsLocked());
 }
 
+// Two WithLock episodes and one macro-form episode. OPTI_FAST_LOCK's
+// setjmp checkpoint lives in this frame, which GCC never inlines, so the
+// caller's loop counter is not live across an abort's longjmp and cannot
+// be clobbered by it.
+void ThreeEpisodes(optilib::OptiLock& ol, gosync::Mutex& a, gosync::Mutex& b,
+                   htm::Shared<int64_t>& value) {
+  ol.WithLock(&a, [&] { value.Add(1); });
+  ol.WithLock(&b, [&] { value.Add(2); });
+  OPTI_FAST_LOCK(ol, &a);
+  value.Add(3);
+  ol.FastUnlock(&a);
+}
+
 TEST_F(EdgeCaseTest, ReuseOfOneOptiLockAcrossEpisodes) {
   gosync::Mutex a;
   gosync::Mutex b;
@@ -99,11 +112,7 @@ TEST_F(EdgeCaseTest, ReuseOfOneOptiLockAcrossEpisodes) {
   // Sequential episodes on different mutexes through one OptiLock (the
   // transformed code reuses the function-local variable the same way).
   for (int i = 0; i < 50; ++i) {
-    ol.WithLock(&a, [&] { value.Add(1); });
-    ol.WithLock(&b, [&] { value.Add(2); });
-    OPTI_FAST_LOCK(ol, &a);
-    value.Add(3);
-    ol.FastUnlock(&a);
+    ThreeEpisodes(ol, a, b, value);
   }
   EXPECT_EQ(value.Load(), 50 * 6);
 }

@@ -66,6 +66,38 @@ uint64_t EpisodeSum() {
          s.slow_acquires.load(std::memory_order_relaxed);
 }
 
+// Traced outcomes against the OptiStats outcome counters at writer
+// quiescence. kOccFallback events are slow acquires too, so they count
+// toward the slow total and, on their own, equal occ_fallbacks.
+void ExpectOutcomesConserve(const std::vector<Event>& events) {
+  uint64_t fast = 0, nested = 0, slow = 0, occ_fallback = 0;
+  for (const Event& e : events) {
+    switch (e.outcome) {
+      case Outcome::kFastCommit:
+        ++fast;
+        break;
+      case Outcome::kNestedFastCommit:
+        ++nested;
+        break;
+      case Outcome::kSlowAcquire:
+        ++slow;
+        break;
+      case Outcome::kOccFallback:
+        ++occ_fallback;
+        break;
+      case Outcome::kUnwind:
+        ADD_FAILURE() << "no episode unwound in this test";
+        break;
+    }
+  }
+  OptiStats& s = GlobalOptiStats();
+  EXPECT_EQ(fast, s.fast_commits.load(std::memory_order_relaxed));
+  EXPECT_EQ(nested, s.nested_fast_commits.load(std::memory_order_relaxed));
+  EXPECT_EQ(slow + occ_fallback,
+            s.slow_acquires.load(std::memory_order_relaxed));
+  EXPECT_EQ(occ_fallback, s.occ_fallbacks.load(std::memory_order_relaxed));
+}
+
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -218,27 +250,40 @@ TEST_F(ObsTest, TraceConservationMultiThread) {
   EXPECT_EQ(stats.drained + stats.dropped, episodes);
   ASSERT_EQ(events.size(), episodes);  // kDefaultRingCapacity holds 2000/thread
 
-  uint64_t fast = 0, nested = 0, slow = 0;
-  for (const Event& e : events) {
-    switch (e.outcome) {
-      case Outcome::kFastCommit:
-        ++fast;
-        break;
-      case Outcome::kNestedFastCommit:
-        ++nested;
-        break;
-      case Outcome::kSlowAcquire:
-        ++slow;
-        break;
-      case Outcome::kUnwind:
-        ADD_FAILURE() << "no episode unwound in this test";
-        break;
-    }
+  ExpectOutcomesConserve(events);
+}
+
+// Forced sw-OCC validation failures exhaust each speculating episode's
+// retry budget, so it ends on the lock as a kOccFallback event, counted in
+// slow_acquires and occ_fallbacks alike (src/obs/event.h). Once the
+// breaker trips, episodes go straight to the lock as kSlowAcquire.
+TEST_F(ObsTest, OccFallbackEventsConserveAgainstSlowAcquires) {
+  htm::ForceSwOccBackend();
+  MutableOptiConfig().trace_episodes = true;
+  MutableOptiConfig().use_perceptron = false;
+  MutableOptiConfig().occ_max_retries = 1;
+
+  FaultPlan plan;
+  plan.seed = seed_;
+  plan.WithRule(Site::kOccValidate, 1.0, htm::AbortCode::kOccValidateFail);
+  htm::fault::Arm(plan);
+
+  gosync::Mutex mu;
+  htm::Shared<uint64_t> value{0};
+  OptiLock ol;
+  constexpr int kEpisodes = 64;
+  for (int i = 0; i < kEpisodes; ++i) {
+    ol.WithLock(&mu, [&] { value.Add(1); });
   }
-  OptiStats& s = GlobalOptiStats();
-  EXPECT_EQ(fast, s.fast_commits.load(std::memory_order_relaxed));
-  EXPECT_EQ(nested, s.nested_fast_commits.load(std::memory_order_relaxed));
-  EXPECT_EQ(slow, s.slow_acquires.load(std::memory_order_relaxed));
+  htm::fault::Disarm();
+  EXPECT_EQ(value.Load(), static_cast<uint64_t>(kEpisodes));
+
+  ASSERT_EQ(EpisodeSum(), static_cast<uint64_t>(kEpisodes));
+  std::vector<Event> events = DrainTrace();
+  ASSERT_EQ(events.size(), static_cast<size_t>(kEpisodes));
+  EXPECT_GT(GlobalOptiStats().occ_fallbacks.load(std::memory_order_relaxed),
+            0u);
+  ExpectOutcomesConserve(events);
 }
 
 TEST_F(ObsTest, TraceConservationUnderChaosInjection) {

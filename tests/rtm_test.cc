@@ -23,6 +23,21 @@
 namespace gocc::htm {
 namespace {
 
+// One transaction attempt: begins, runs `body` if the transaction started,
+// and returns the begin status (started, or the code the attempt aborted
+// with). The setjmp checkpoint lives in this frame, which GCC never
+// inlines, so a caller's retry counter is not live across an abort's
+// longjmp and cannot be clobbered by it.
+template <typename Body>
+BeginStatus TxAttempt(Body body) {
+  std::jmp_buf env;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  if (status.started) {
+    body();
+  }
+  return status;
+}
+
 class RtmTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -44,13 +59,13 @@ class RtmTest : public ::testing::Test {
 
 TEST_F(RtmTest, HardwareTransactionCommits) {
   Shared<int64_t> cell(0);
-  std::jmp_buf env;
   int attempts = 0;
   while (attempts < 1000000) {
-    BeginStatus status = GOCC_TX_BEGIN(env);
-    if (status.started) {
+    BeginStatus status = TxAttempt([&] {
       cell.Store(7);
       TxCommit();
+    });
+    if (status.started) {
       break;
     }
     ++attempts;
@@ -66,15 +81,13 @@ TEST_F(RtmTest, HardwareTransactionCommits) {
 
 TEST_F(RtmTest, ExplicitAbortRollsBackHardwareState) {
   Shared<int64_t> cell(1);
-  std::jmp_buf env;
   // Explicit aborts are deterministic: the first started transaction
   // aborts with our code.
   for (int i = 0; i < 1000; ++i) {
-    BeginStatus status = GOCC_TX_BEGIN(env);
-    if (status.started) {
+    BeginStatus status = TxAttempt([&] {
       cell.Store(99);
       TxAbort(AbortCode::kLockHeld);
-    }
+    });
     if (status.abort_code == AbortCode::kLockHeld) {
       EXPECT_EQ(cell.Load(), 1) << "hardware must roll the store back";
       return;

@@ -394,6 +394,149 @@ TEST_F(ServiceTest, QueueDepthLimitShedsWhileShardIsStalled) {
   EXPECT_TRUE(svc.stats().ConservationHolds(3, &why)) << why;
 }
 
+// Spins until the injector has parked `n` critical sections (a stall is
+// counted as it starts), or five seconds pass.
+bool WaitForStalls(uint64_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (htm::fault::GlobalFaultStats().stalls.load() < n) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// The depth gate (DESIGN.md §4.14, admission step 4): with no more live
+// callers than queue_limit the limit cannot fire, so no request touches
+// queue_depth, and a read behind a hung writer waits instead of shedding.
+TEST_F(ServiceTest, DepthGateStaysClosedWhileCallersCannotReachLimit) {
+  ServiceConfig cfg = TestConfig();
+  cfg.queue_limit = 64;
+  PessimisticService svc(cfg);
+  const uint64_t key = KeyForShard(svc, 1);
+  svc.Set(key, 7);
+
+  FaultPlan plan;
+  plan.seed = seed_;
+  plan.only_shard = 1;
+  plan.WithStallAt(Site::kShardStall, 1.0, /*pauses=*/5'000'000);
+  htm::fault::Arm(plan);
+
+  std::thread writer([&] { svc.Set(key, 8); });
+  EXPECT_TRUE(WaitForStalls(1)) << "writer never parked in the shard";
+  EXPECT_EQ(svc.QueueDepth(1), 0);
+
+  RequestResult r = svc.Get(key);  // waits out the writer's lock
+  EXPECT_EQ(r.outcome, Outcome::kOk);
+  EXPECT_EQ(r.value, 8);
+
+  writer.join();
+  htm::fault::Disarm();
+  EXPECT_EQ(svc.QueueDepth(1), 0);
+  std::string why;
+  EXPECT_TRUE(svc.stats().ConservationHolds(3, &why)) << why;
+}
+
+// queue_limit = 2: the main thread plus one parked writer are two live
+// callers, so the gate stays closed and the read is admitted; with a second
+// writer waiting on the stalled lock there are three, the gate opens, both
+// writers are counted, and the read sheds.
+TEST_F(ServiceTest, DepthGateOpensOnceCallersExceedLimit) {
+  ServiceConfig cfg = TestConfig();
+  cfg.queue_limit = 2;
+  PessimisticService svc(cfg);
+  const uint64_t key = KeyForShard(svc, 1);
+  const uint64_t other = KeyForShard(svc, 0);
+  svc.Set(key, 7);
+  ASSERT_EQ(LiveCallers(), 1u) << "a caller thread outlived its test";
+
+  FaultPlan plan;
+  plan.seed = seed_;
+  plan.only_shard = 1;
+  plan.WithStallAt(Site::kShardStall, 1.0, /*pauses=*/5'000'000);
+  htm::fault::Arm(plan);
+
+  // One parked writer: two live callers, gate closed.
+  std::thread writer([&] { svc.Set(key, 8); });
+  EXPECT_TRUE(WaitForStalls(1)) << "writer never parked in the shard";
+  EXPECT_EQ(svc.QueueDepth(1), 0);
+  RequestResult admitted = svc.Get(key);
+  EXPECT_EQ(admitted.outcome, Outcome::kOk);
+  writer.join();
+
+  // Two writers, each a live caller (a read on unstalled shard 0) before
+  // either enters shard 1: both pass the gate open and are counted, the
+  // second while it waits for the first's stalled lock.
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      svc.Get(other);
+      ready.fetch_add(1);
+      while (!go.load()) {
+        std::this_thread::yield();
+      }
+      svc.Set(key, 9 + w);
+    });
+  }
+  while (ready.load() < 2) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(LiveCallers(), 3u);
+  go.store(true);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (svc.QueueDepth(1) < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(svc.QueueDepth(1), 2) << "writers never queued in the shard";
+  RequestResult shed = svc.Get(key);
+  EXPECT_EQ(shed.outcome, Outcome::kShedOverload);
+
+  for (auto& th : writers) {
+    th.join();
+  }
+  htm::fault::Disarm();
+  EXPECT_EQ(svc.QueueDepth(1), 0) << "every counted entry is matched";
+  std::string why;
+  EXPECT_TRUE(svc.stats().ConservationHolds(8, &why)) << why;
+}
+
+// A thread joins the live-caller count once, however many requests it
+// makes, and leaves it when it exits.
+TEST_F(ServiceTest, LiveCallersReturnToBaselineAfterThreadsExit) {
+  PessimisticService svc(TestConfig());
+  const uint32_t before = LiveCallers();
+  constexpr int kThreads = 4;
+  std::atomic<int> called{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const uint64_t key = static_cast<uint64_t>(t) + 1;
+      svc.Set(key, t);
+      svc.Get(key);
+      called.fetch_add(1);
+      while (!release.load()) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  while (called.load() < kThreads) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(LiveCallers(), before + kThreads);
+  release.store(true);
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(LiveCallers(), before);
+}
+
 TEST_F(ServiceTest, HedgeDuplicateIsSuppressedWhenPrimaryAnswers) {
   ServiceConfig cfg = TestConfig();
   cfg.hedge_us = 100;        // hedge when p99 > 100 us
