@@ -27,7 +27,7 @@
 // provisioned for, the robustness layer must be invisible. Retries a few
 // times so a host-load burst on shared CI does not fail the build.
 //
-// Knobs: GOCC_SVC_* (service config, src/service/service.cc),
+// Service config: service::DefaultConfig() with per-cell overrides. Knobs:
 // GOCC_SVC_BENCH_KEYS (key space, default 1024), GOCC_SVC_BENCH_WRITE_FRAC
 // (default 0.1), GOCC_SVC_GATE_RATE (gate arrivals/sec, default 40000).
 // Flags: --quick (CI smoke), --gate (SLO gate only).
@@ -266,7 +266,6 @@ CellOut RunServiceCell(const char* mode, int shards, int threads, double rate,
     diag("quarantines", st.quarantines);
     diag("recoveries", st.recoveries);
     diag("probes_admitted", st.probes_admitted);
-    diag("breaker_escalations", st.breaker_escalations);
     diag("shard_failures", st.shard_failures);
     rec.counters.emplace_back("oracle_ok", oracle_ok ? 1.0 : 0.0);
     AppendRuntimeCounters(&rec.counters);

@@ -362,10 +362,6 @@ std::string OptiStats::ToString() const {
   return out;
 }
 
-// Breaker escalation listener (service tier health ladder). Relaxed atomic:
-// registration happens at service construction, trips are cold.
-static std::atomic<BreakerTripListener> g_breaker_trip_listener{nullptr};
-
 // One shared gate for every "is RTM healthy again?" probe — the breaker's
 // half-open admission and the watchdog's storm trip used to each fire
 // ReprobeRtmHealth on their own cadence; both now draw from this single
@@ -374,10 +370,6 @@ static std::atomic<BreakerTripListener> g_breaker_trip_listener{nullptr};
 static support::Reprobe& RtmReprobeGate() {
   static support::Reprobe* gate = new support::Reprobe();
   return *gate;
-}
-
-void SetBreakerTripListener(BreakerTripListener listener) {
-  g_breaker_trip_listener.store(listener, std::memory_order_release);
 }
 
 void ResetHardeningState() {
@@ -1182,17 +1174,6 @@ void OptiLock::FinishSlowEpisode() {
                                 cfg_.breaker_threshold,
                                 cfg_.breaker_cooldown_episodes)) {
       Bump(OptiStats::kBreakerTrips);
-      // Escalate to any registered layer above (service shard health): a
-      // trip is the runtime's strongest per-mutex distress signal, and the
-      // listener gets the same mutex attribution the episode trace uses.
-      if (BreakerTripListener listener =
-              g_breaker_trip_listener.load(std::memory_order_acquire)) {
-        const void* tripped = target_;
-        if (kind_ == Target::kMutexSet && blamed_member_ >= 0) [[unlikely]] {
-          tripped = set_[blamed_member_];
-        }
-        listener(tripped, episode_now_);
-      }
     }
     if (cfg_.watchdog_threshold > 0) {
       uint64_t streak =

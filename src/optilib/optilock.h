@@ -310,16 +310,6 @@ OptiStats& GlobalOptiStats();
 // from tick zero).
 void ResetHardeningState();
 
-// Escalation hook for layers above the runtime (the service tier's shard
-// health ladder): invoked on the episode slow path each time a breaker cell
-// trips, with the mutex the episode blamed (for multi-lock sets, the blamed
-// member when attribution succeeded, else the set's primary) and the
-// episode tick of the trip. The callback runs on the tripping thread, on a
-// path that is already pessimistic — it must be cheap and must not
-// re-enter OptiLock on the same mutex. nullptr (default) disables.
-using BreakerTripListener = void (*)(const void* mutex, uint64_t episode_now);
-void SetBreakerTripListener(BreakerTripListener listener);
-
 // Frontier of the process-wide episode clock: the next unclaimed tick
 // (test/bench observability; threads may hold claimed-but-unused ticks
 // below it, bounded by threads * episode_clock_batch).

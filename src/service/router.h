@@ -52,15 +52,7 @@ class CacheService {
     shards_.reserve(static_cast<size_t>(cfg_.shards));
     for (int i = 0; i < cfg_.shards; ++i) {
       shards_.push_back(std::make_unique<Shard>());
-      Shard& sh = *shards_.back();
-      sh.health.Configure(cfg_, &stats_);
-      RegisterShardMutex(&sh.cache.ElisionMutex(), &sh.health, &stats_);
-    }
-  }
-
-  ~CacheService() {
-    for (auto& sh : shards_) {
-      UnregisterShardMutex(&sh->cache.ElisionMutex());
+      shards_.back()->health.Configure(cfg_, &stats_);
     }
   }
 

@@ -1,9 +1,5 @@
 #include "src/service/service.h"
 
-#include <unordered_map>
-
-#include "src/optilib/optilock.h"
-#include "src/support/env.h"
 #include "src/support/rng.h"
 #include "src/support/strings.h"
 
@@ -38,37 +34,8 @@ void RegisterCaller() { thread_local CallerGuard guard; }
 }  // namespace internal
 
 const ServiceConfig& DefaultConfig() {
-  static const ServiceConfig latched = [] {
-    ServiceConfig cfg;
-    cfg.shards = static_cast<int>(
-        support::EnvInt("GOCC_SVC_SHARDS", cfg.shards, 1, 256));
-    cfg.deadline_us =
-        support::EnvUint64("GOCC_SVC_DEADLINE_US", cfg.deadline_us, 0,
-                           60'000'000);
-    cfg.queue_limit = static_cast<uint32_t>(support::EnvUint64(
-        "GOCC_SVC_QUEUE_LIMIT", cfg.queue_limit, 0, 1u << 20));
-    cfg.p99_shed_us = support::EnvUint64("GOCC_SVC_P99_SHED_US",
-                                         cfg.p99_shed_us, 0, 60'000'000);
-    cfg.retry_after_us = support::EnvUint64(
-        "GOCC_SVC_RETRY_AFTER_US", cfg.retry_after_us, 1, 60'000'000);
-    cfg.hedge_us =
-        support::EnvUint64("GOCC_SVC_HEDGE_US", cfg.hedge_us, 0, 60'000'000);
-    cfg.window_tick_us = support::EnvUint64(
-        "GOCC_SVC_WINDOW_US", cfg.window_tick_us, 100, 60'000'000);
-    cfg.degrade_trips = static_cast<int>(
-        support::EnvInt("GOCC_SVC_DEGRADE_TRIPS", cfg.degrade_trips, 1,
-                        1 << 20));
-    cfg.quarantine_trips = static_cast<int>(
-        support::EnvInt("GOCC_SVC_QUAR_TRIPS", cfg.quarantine_trips, 1,
-                        1 << 20));
-    cfg.probe_successes = static_cast<int>(
-        support::EnvInt("GOCC_SVC_PROBE_OK", cfg.probe_successes, 1,
-                        1 << 20));
-    cfg.quarantine_cooldown_ms = support::EnvUint64(
-        "GOCC_SVC_QUAR_COOLDOWN_MS", cfg.quarantine_cooldown_ms, 1, 60'000);
-    return cfg;
-  }();
-  return latched;
+  static const ServiceConfig defaults;
+  return defaults;
 }
 
 const char* OutcomeName(Outcome o) {
@@ -153,7 +120,7 @@ void ServiceStats::Reset() {
   for (support::SlotCounter* c :
        {&stale_reads, &hedges_fired, &hedges_won, &hedge_duplicates,
         &deadline_in_shard, &degrades, &quarantines, &recoveries,
-        &probes_admitted, &breaker_escalations, &shard_failures}) {
+        &probes_admitted, &shard_failures}) {
     c->Reset();
   }
 }
@@ -172,9 +139,9 @@ std::string ServiceStats::ToString() const {
                    n(hedge_duplicates));
   out += StrFormat(
       " health{degrades=%llu quarantines=%llu recoveries=%llu probes=%llu "
-      "breaker=%llu failures=%llu}}",
+      "failures=%llu}}",
       n(degrades), n(quarantines), n(recoveries), n(probes_admitted),
-      n(breaker_escalations), n(shard_failures));
+      n(shard_failures));
   return out;
 }
 
@@ -182,20 +149,20 @@ std::string ServiceStats::ToString() const {
 void ShardHealth::Escalate(std::unique_lock<std::mutex>& held) {
   (void)held;
   successes_ = 0;
-  ++trips_;
+  ++failures_;
   const ShardState state = State();
-  if (state == ShardState::kHealthy && trips_ >= cfg_->degrade_trips) {
+  if (state == ShardState::kHealthy && failures_ >= kDegradeFailures) {
     state_.store(static_cast<int>(ShardState::kDegraded),
                  std::memory_order_relaxed);
-    trips_ = 0;
+    failures_ = 0;
     if (stats_ != nullptr) {
       stats_->degrades.fetch_add(1);
     }
   } else if (state == ShardState::kDegraded &&
-             trips_ >= cfg_->quarantine_trips) {
+             failures_ >= kQuarantineFailures) {
     state_.store(static_cast<int>(ShardState::kQuarantined),
                  std::memory_order_relaxed);
-    trips_ = 0;
+    failures_ = 0;
     // The first probe waits out a full cooldown; without the Defer a
     // quarantine would re-probe on the very next request and the ladder
     // would flap instead of backing off.
@@ -205,14 +172,6 @@ void ShardHealth::Escalate(std::unique_lock<std::mutex>& held) {
     }
   }
   // Already quarantined: stay there; the probe gate owns recovery.
-}
-
-void ShardHealth::OnBreakerTrip() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (stats_ != nullptr) {
-    stats_->breaker_escalations.fetch_add(1);
-  }
-  Escalate(lock);
 }
 
 void ShardHealth::OnFailure() {
@@ -233,8 +192,8 @@ void ShardHealth::OnSuccess() {
   if (state == ShardState::kHealthy) {
     return;
   }
-  trips_ = 0;
-  if (++successes_ < cfg_->probe_successes) {
+  failures_ = 0;
+  if (++successes_ < kRecoverySuccesses) {
     return;
   }
   successes_ = 0;
@@ -254,58 +213,9 @@ void ShardHealth::Reset() {
   std::unique_lock<std::mutex> lock(mu_);
   state_.store(static_cast<int>(ShardState::kHealthy),
                std::memory_order_relaxed);
-  trips_ = 0;
+  failures_ = 0;
   successes_ = 0;
   probe_gate_.ForceNext();
-}
-
-namespace {
-
-struct Registration {
-  ShardHealth* health;
-  ServiceStats* stats;
-};
-
-std::mutex& RegistryMu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::unordered_map<const void*, Registration>& Registry() {
-  static auto* map = new std::unordered_map<const void*, Registration>();
-  return *map;
-}
-
-// The process-wide optilib listener. Runs on the tripping thread's episode
-// slow path: one cold hash lookup, then the ladder's own mutex.
-void OnBreakerTripListener(const void* mutex, uint64_t /*episode_now*/) {
-  ShardHealth* health = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(RegistryMu());
-    auto it = Registry().find(mutex);
-    if (it == Registry().end()) {
-      return;  // not a registered shard mutex (some other workload's lock)
-    }
-    health = it->second.health;
-  }
-  health->OnBreakerTrip();
-}
-
-}  // namespace
-
-void RegisterShardMutex(const void* mutex, ShardHealth* health,
-                        ServiceStats* stats) {
-  std::lock_guard<std::mutex> lock(RegistryMu());
-  Registry()[mutex] = Registration{health, stats};
-  optilib::SetBreakerTripListener(&OnBreakerTripListener);
-}
-
-void UnregisterShardMutex(const void* mutex) {
-  std::lock_guard<std::mutex> lock(RegistryMu());
-  Registry().erase(mutex);
-  if (Registry().empty()) {
-    optilib::SetBreakerTripListener(nullptr);
-  }
 }
 
 }  // namespace gocc::service

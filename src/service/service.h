@@ -16,11 +16,12 @@
 //     the shard's replica-of-last-resort snapshot; first answer wins, the
 //     duplicate is suppressed and counted.
 //   * health     — each shard walks healthy → degraded → quarantined,
-//     escalated from the runtime's own distress signals (the per-(mutex,
-//     site) breaker trips via optilib::SetBreakerTripListener, plus
-//     request-level failures). A quarantined shard serves stale reads,
-//     rejects writes, and re-admits one probe per cooldown through the
-//     same support::Reprobe gate the RTM health probe uses.
+//     escalated by request-level failures (the shard's backing store
+//     failing requests). Speculation collapsing on the shard's mutex is
+//     not a shard failure: optilib's breaker already sends that mutex to
+//     the lock, and the requests still succeed. A quarantined shard serves
+//     stale reads, rejects writes, and re-admits one probe per cooldown
+//     through the same support::Reprobe gate the RTM health probe uses.
 //
 // The templated router lives in router.h; this header is the policy-free
 // core so tests and the DES mirror can reason about the ladder without
@@ -39,8 +40,8 @@
 
 namespace gocc::service {
 
-// All knobs read their default from GOCC_SVC_* once per process (see
-// DefaultConfig in service.cc); tests and benches override fields directly.
+// The tier's only configuration path: callers set fields directly; no
+// environment variable overrides them.
 struct ServiceConfig {
   // Shard count the router builds (power of two keeps ShardFor a mask).
   int shards = 8;
@@ -66,24 +67,24 @@ struct ServiceConfig {
   // support::WindowedPercentile::kWindows ticks.
   uint64_t window_tick_us = 5000;
 
-  // Health ladder: breaker trips / request failures before healthy shards
-  // degrade, further ones before degraded shards quarantine, and the
-  // consecutive successes needed to step back down one rung.
-  int degrade_trips = 1;
-  int quarantine_trips = 3;
-  int probe_successes = 3;
-
   // Quarantine cooldown between re-probes (the service-level analogue of
-  // GOCC_REPROBE_MS, configured separately because operators treat it as
-  // an SLO parameter).
+  // optilib's RTM re-probe interval, kept separate because it is an SLO
+  // parameter of the shard, not of the runtime).
   uint64_t quarantine_cooldown_ms = 25;
 
   // Seed for per-thread retry-after jitter streams.
   uint64_t seed = 0x5345525649434531ULL;
 };
 
-// Process defaults with every GOCC_SVC_* override applied (latched once).
+// The field defaults above, shared by the benches.
 const ServiceConfig& DefaultConfig();
+
+// Health ladder: request failures before a healthy shard degrades, further
+// failures before a degraded shard quarantines, and the consecutive
+// successes needed to step back down one rung.
+inline constexpr int kDegradeFailures = 1;
+inline constexpr int kQuarantineFailures = 3;
+inline constexpr int kRecoverySuccesses = 3;
 
 // Terminal outcome of one request — every request lands in exactly one.
 enum class Outcome : int {
@@ -127,7 +128,6 @@ struct ServiceStats {
   support::SlotCounter quarantines;
   support::SlotCounter recoveries;         // quarantined → degraded
   support::SlotCounter probes_admitted;
-  support::SlotCounter breaker_escalations;
   support::SlotCounter shard_failures;     // injected/storm failures
 
   void Bump(Outcome o) { outcomes[static_cast<int>(o)].fetch_add(1); }
@@ -151,12 +151,10 @@ enum class ShardState : int {
 
 const char* ShardStateName(ShardState s);
 
-// The per-shard ladder. Escalations come from two feeds: the runtime's
-// breaker (a trip on the shard's mutex is the strongest signal that
-// speculation on this shard collapsed) and request-level failures (chaos
-// storms, which model the backing store dying). De-escalation is earned:
-// consecutive successes step down one rung at a time, and a quarantined
-// shard only gets traffic again through rate-limited probes.
+// The per-shard ladder. Escalations have one feed: request-level failures
+// (chaos storms, which model the backing store dying). De-escalation is
+// earned: consecutive successes step down one rung at a time, and a
+// quarantined shard only gets traffic again through rate-limited probes.
 //
 // Transitions are serialized by a private mutex — they are cold by
 // definition (a hot transition path would mean the service is flapping) —
@@ -164,7 +162,6 @@ const char* ShardStateName(ShardState s);
 class ShardHealth {
  public:
   void Configure(const ServiceConfig& cfg, ServiceStats* stats) {
-    cfg_ = &cfg;
     stats_ = stats;
     probe_gate_.Reinit(cfg.quarantine_cooldown_ms);
   }
@@ -173,8 +170,6 @@ class ShardHealth {
     return static_cast<ShardState>(state_.load(std::memory_order_relaxed));
   }
 
-  // Breaker trip on this shard's mutex (listener thread).
-  void OnBreakerTrip();
   // Request against this shard failed outright (storm injection).
   void OnFailure();
   // Request served successfully (fresh path).
@@ -198,11 +193,10 @@ class ShardHealth {
  private:
   void Escalate(std::unique_lock<std::mutex>& held);
 
-  const ServiceConfig* cfg_ = nullptr;
   ServiceStats* stats_ = nullptr;
   std::atomic<int> state_{static_cast<int>(ShardState::kHealthy)};
   std::mutex mu_;
-  int trips_ = 0;      // escalation pressure at the current rung
+  int failures_ = 0;   // escalation pressure at the current rung
   int successes_ = 0;  // consecutive successes toward de-escalation
   support::Reprobe probe_gate_{1};
 };
@@ -250,16 +244,6 @@ inline uint32_t NoteCaller() {
   }
   return LiveCallers();
 }
-
-// --- breaker escalation bridge (service.cc) ---
-//
-// The router registers each shard's mutex here; a single process-wide
-// optilib breaker-trip listener resolves the tripped mutex back to its
-// ShardHealth. Registration installs the listener on first use; the bridge
-// survives multiple concurrent services (addresses are unique).
-void RegisterShardMutex(const void* mutex, ShardHealth* health,
-                        ServiceStats* stats);
-void UnregisterShardMutex(const void* mutex);
 
 }  // namespace gocc::service
 

@@ -47,7 +47,7 @@ uint64_t ChaosSeed() {
   return 1;
 }
 
-// Test config: every knob explicit (never the env-latched DefaultConfig),
+// Test config: every field explicit (never DefaultConfig), with
 // admission/hedging/deadlines individually disabled by the tests that
 // isolate one mechanism. The enormous window tick keeps primed estimator
 // samples from decaying mid-assertion; the decay test dials it down.
@@ -60,9 +60,6 @@ ServiceConfig TestConfig(int shards = 4) {
   cfg.retry_after_us = 200;
   cfg.hedge_us = 0;
   cfg.window_tick_us = 60'000'000;  // one tick for the whole test
-  cfg.degrade_trips = 1;
-  cfg.quarantine_trips = 3;
-  cfg.probe_successes = 3;
   cfg.quarantine_cooldown_ms = 60'000;  // probes only via ForceProbe
   return cfg;
 }
@@ -76,6 +73,27 @@ uint64_t KeyForShard(const Svc& svc, int shard, uint64_t from = 1) {
   }
   return k;
 }
+
+// Joins `thread` and disarms the injector on every exit path: a failed
+// ASSERT_* returns from the test body, and a still-joinable std::thread
+// would then end the binary in std::terminate, hiding every later case.
+class JoinAndDisarm {
+ public:
+  explicit JoinAndDisarm(std::thread& thread) : thread_(thread) {}
+  ~JoinAndDisarm() { Finish(); }
+  JoinAndDisarm(const JoinAndDisarm&) = delete;
+  JoinAndDisarm& operator=(const JoinAndDisarm&) = delete;
+
+  void Finish() {
+    if (thread_.joinable()) {
+      thread_.join();
+    }
+    htm::fault::Disarm();
+  }
+
+ private:
+  std::thread& thread_;
+};
 
 class ServiceTest : public ::testing::Test {
  protected:
@@ -375,6 +393,7 @@ TEST_F(ServiceTest, QueueDepthLimitShedsWhileShardIsStalled) {
   htm::fault::Arm(plan);
 
   std::thread writer([&] { svc.Set(key, 8); });
+  JoinAndDisarm cleanup(writer);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (svc.QueueDepth(1) < 1 &&
@@ -387,8 +406,7 @@ TEST_F(ServiceTest, QueueDepthLimitShedsWhileShardIsStalled) {
   EXPECT_EQ(r.outcome, Outcome::kShedOverload);
   EXPECT_GE(r.retry_after_ns, cfg.retry_after_us * 1000);
 
-  writer.join();
-  htm::fault::Disarm();
+  cleanup.Finish();
   EXPECT_GT(htm::fault::GlobalFaultStats().stalls.load(), 0u);
   std::string why;
   EXPECT_TRUE(svc.stats().ConservationHolds(3, &why)) << why;
@@ -585,11 +603,11 @@ TEST_F(ServiceTest, HealthLadderEscalatesAndQuarantineServesStale) {
   svc.Set(key, 5);
 
   ShardHealth& health = svc.health(2);
-  // degrade_trips = 1: first failure degrades...
+  // kDegradeFailures = 1: first failure degrades...
   health.OnFailure();
   EXPECT_EQ(health.State(), ShardState::kDegraded);
   EXPECT_EQ(svc.stats().degrades.load(), 1u);
-  // ...quarantine_trips = 3 more quarantine.
+  // ...kQuarantineFailures = 3 more quarantine.
   health.OnFailure();
   health.OnFailure();
   EXPECT_EQ(health.State(), ShardState::kDegraded);
@@ -633,7 +651,7 @@ TEST_F(ServiceTest, QuarantineRecoversThroughCooldownProbes) {
   EXPECT_TRUE(r.stale);
   EXPECT_EQ(svc.stats().probes_admitted.load(), 0u);
 
-  // probe_successes = 3 successful probes step down to degraded...
+  // kRecoverySuccesses = 3 successful probes step down to degraded...
   for (int i = 0; i < 3; ++i) {
     health.ForceProbe();
     r = svc.Get(key);
@@ -651,10 +669,11 @@ TEST_F(ServiceTest, QuarantineRecoversThroughCooldownProbes) {
   EXPECT_EQ(health.State(), ShardState::kHealthy);
 }
 
-TEST_F(ServiceTest, BreakerTripEscalatesShardHealth) {
-  // The runtime's own distress signal feeds the ladder: a persistent abort
-  // storm on one shard's mutex trips the per-(mutex,site) breaker, whose
-  // listener degrades that shard — and only that shard.
+TEST_F(ServiceTest, BreakerTripDoesNotDegradeAServingShard) {
+  // The ladder has one feed, request failures. A persistent abort storm on
+  // one shard's mutex trips the per-(mutex,site) breaker, which sends the
+  // mutex to the lock; every request still succeeds, so neither shard
+  // leaves kHealthy and nothing is escalated.
   optilib::OptiConfig& ocfg = optilib::MutableOptiConfig();
   ocfg.use_perceptron = false;
   ocfg.breaker_threshold = 2;
@@ -675,18 +694,11 @@ TEST_F(ServiceTest, BreakerTripEscalatesShardHealth) {
   }
   htm::fault::Disarm();
 
-  // The trip reached the ladder: the shard degraded. The served requests
-  // after the trip (the router kept answering through the fallback lock)
-  // then earn the shard back to healthy — request-level successes
-  // de-escalate one rung per probe_successes, which is the intended
-  // steady state once the breaker has quarantined speculation.
   EXPECT_GE(optilib::GlobalOptiStats().breaker_trips.load(), 1u);
-  EXPECT_GE(svc.stats().breaker_escalations.load(), 1u);
-  EXPECT_GE(svc.stats().degrades.load(), 1u);
-  EXPECT_EQ(svc.health(0).State(), ShardState::kHealthy)
-      << "post-storm successes must have healed the shard";
-  EXPECT_EQ(svc.health(1).State(), ShardState::kHealthy)
-      << "the storm was per-mutex; the other shard must not be implicated";
+  EXPECT_EQ(svc.stats().degrades.load(), 0u)
+      << "a breaker trip is not a shard failure";
+  EXPECT_EQ(svc.health(0).State(), ShardState::kHealthy);
+  EXPECT_EQ(svc.health(1).State(), ShardState::kHealthy);
   std::string why;
   EXPECT_TRUE(svc.stats().ConservationHolds(9, &why)) << why;
 }
@@ -776,7 +788,7 @@ TEST_F(ServiceTest, ChaosShardKillKeepsRouterServingAndRecovers) {
   }
   EXPECT_EQ(svc.health(kVictim).State(), ShardState::kHealthy);
   EXPECT_GE(svc.stats().recoveries.load(), 1u);
-  EXPECT_LE(recovery_requests, cfg.probe_successes * 2 + 2);
+  EXPECT_LE(recovery_requests, kRecoverySuccesses * 2 + 2);
 
   // Fully recovered: fresh reads and writes flow again.
   const uint64_t victim_key = KeyForShard(svc, kVictim);
